@@ -385,8 +385,11 @@ mkfifo "$work/in3"
 pid=$!
 exec 5>"$work/in3"
 
+# 4000 runs keep the batch busy for over half a second: with lighter jobs
+# the whole batch can finish between two polls below, and the kill would
+# then find nothing left to recover.
 for i in $(seq 1 "$njobs"); do
-    printf '{"op":"partition","id":"dur-%d","hgr":"%s","runs":400,"seed":%d,"priority":%d}\n' \
+    printf '{"op":"partition","id":"dur-%d","hgr":"%s","runs":4000,"seed":%d,"priority":%d}\n' \
         "$i" "$hgr" $((4000 + i)) $((i % 4)) >&5
 done
 

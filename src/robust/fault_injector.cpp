@@ -64,7 +64,7 @@ const std::vector<std::string>& FaultInjector::knownSites() {
         "fs.write.short",    // half the payload lands, then failure
         "fs.fsync",          // write complete, durability ack lost
         "fs.read.eio",       // read-side media error
-        "serve.fork",        // supervisor, before fork(): spawn failure
+        "serve.fork",        // worker pool, before fork(): spawn failure
         "serve.worker_crash",// worker child, before the job: raises SIGSEGV
         "serve.worker_hang", // worker child, before the job: hangs forever
         "serve.pipe",        // worker child, result write: torn frame

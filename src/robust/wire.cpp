@@ -171,14 +171,22 @@ std::vector<std::uint8_t> buildFrame(const std::vector<std::uint8_t>& payload) {
     return std::move(out.bytes);
 }
 
-std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size) {
-    if (size == 0) frameError("empty frame (worker wrote nothing)");
-    WireReader in{data, size};
-    if (size < kFrameHeaderBytes)
-        frameError("frame header truncated (" + std::to_string(size) + " bytes)");
+std::uint64_t framePayloadLength(const std::uint8_t* header, std::uint64_t maxPayload) {
+    WireReader in{header, kFrameHeaderBytes};
     if (in.u32() != kFrameMagic) frameError("bad frame magic");
     const std::uint64_t len = in.u64();
-    if (len > kMaxFrameBytes) frameError("implausible frame length " + std::to_string(len));
+    if (len > maxPayload)
+        frameError("implausible frame length " + std::to_string(len) + " (cap " +
+                   std::to_string(maxPayload) + ")");
+    return len;
+}
+
+std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size) {
+    if (size == 0) frameError("empty frame (worker wrote nothing)");
+    if (size < kFrameHeaderBytes)
+        frameError("frame header truncated (" + std::to_string(size) + " bytes)");
+    const std::uint64_t len = framePayloadLength(data, kMaxFrameBytes);
+    WireReader in{data, size, kFrameHeaderBytes - 4}; // at the crc, after magic + length
     const std::uint32_t crc = in.u32();
     if (len > in.remaining())
         frameError("frame truncated (torn write: declares " + std::to_string(len) +

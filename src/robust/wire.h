@@ -96,4 +96,11 @@ struct WireReader {
 /// Frame header size in bytes (magic + length + crc).
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 
+/// Checks the magic of the kFrameHeaderBytes-byte frame header at `header`
+/// and returns the payload length it declares — what a pipe reader needs
+/// to know how many more bytes make up the frame. Throws
+/// Error(kParseError) on bad magic or a length above `maxPayload`.
+[[nodiscard]] std::uint64_t framePayloadLength(const std::uint8_t* header,
+                                               std::uint64_t maxPayload);
+
 } // namespace mlpart::robust

@@ -1,5 +1,6 @@
 #include "serve/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -203,9 +204,11 @@ JsonWriter& JsonWriter::field(const std::string& k, const char* value) {
 
 JsonWriter& JsonWriter::field(const std::string& k, double value) {
     key(k);
+    // Shortest text that parses back to the same bits: 0.1, not
+    // 0.10000000000000001.
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    body_ += buf;
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+    body_.append(buf, r.ptr);
     return *this;
 }
 

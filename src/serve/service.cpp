@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,12 +17,6 @@ namespace {
 
 using robust::Error;
 using robust::StatusCode;
-
-std::int64_t nowNs() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /// In-flight registry key. Job ids are only unique per client (two
 /// tenants may both submit "job-1"), so cancel routing is scoped by the
@@ -56,6 +49,15 @@ bool parseNetDHeader(const std::string& text, std::int64_t& pins, std::int64_t& 
     std::int64_t magic = 0, padOffset = 0;
     return static_cast<bool>(in >> magic >> pins >> nets >> modules >> padOffset) &&
            pins >= 0 && nets >= 0 && modules > 0;
+}
+
+WorkerPoolConfig poolConfigFor(const ServiceConfig& cfg) {
+    WorkerPoolConfig pc;
+    pc.slots = cfg.workers; // dispatcher i drives slot i
+    pc.backoffBaseSeconds = cfg.poolBackoffBaseSeconds;
+    pc.backoffCapSeconds = cfg.poolBackoffCapSeconds;
+    pc.retireAfterJob = !cfg.usePool;
+    return pc;
 }
 
 } // namespace
@@ -108,19 +110,13 @@ std::uint64_t Service::estimateJobBytes(const JobRequest& req) {
     return perStart * static_cast<std::uint64_t>(concurrent);
 }
 
-Service::Service(ServiceConfig cfg, Emit emit) : cfg_(cfg), emit_(std::move(emit)) {
+Service::Service(ServiceConfig cfg, Emit emit)
+    : cfg_(cfg), emit_(std::move(emit)), pool_(poolConfigFor(cfg_)) {
     if (cfg_.workers < 1) cfg_.workers = 1;
     if (cfg_.queueLimit < 1) cfg_.queueLimit = 1;
     if (cfg_.historyLimit < 1) cfg_.historyLimit = 1;
     if (cfg_.memLimitBytes > 0)
         robust::MemoryGovernor::instance().setLimitBytes(cfg_.memLimitBytes);
-    if (cfg_.usePool) {
-        WorkerPoolConfig pc;
-        pc.slots = cfg_.workers;
-        pc.backoffBaseSeconds = cfg_.poolBackoffBaseSeconds;
-        pc.backoffCapSeconds = cfg_.poolBackoffCapSeconds;
-        pool_ = std::make_unique<WorkerPool>(pc);
-    }
     if (cfg_.cacheEntries > 0) cache_ = std::make_unique<ResultCache>(cfg_.cacheEntries);
 
     Journal::Recovery recovery;
@@ -299,6 +295,9 @@ void Service::noteDurabilityFailure(const robust::Status& st) {
 
 void Service::persistCache() {
     if (!cache_ || cachePath_.empty()) return;
+    // Dispatchers finish jobs concurrently, but every snapshot goes
+    // through the same temp file: one writer at a time.
+    std::lock_guard<std::mutex> lock(persistMu_);
     const robust::Status st = cache_->saveToFile(cachePath_);
     if (!st.ok()) noteDurabilityFailure(st);
 }
@@ -540,7 +539,7 @@ void Service::stop() {
     }
     for (std::thread& t : dispatchers_)
         if (t.joinable()) t.join();
-    if (pool_) pool_->shutdown();
+    pool_.shutdown();
     // A clean stop has delivered every response it ever will: compacting
     // now drops the delivered Done records, so only a *crash* (no stop)
     // leaves results behind for the at-least-once re-emission path.
@@ -570,23 +569,20 @@ std::string Service::statusJson() {
         clientCount = clients_.size();
     }
     std::string poolWorkers = "[";
-    std::int64_t respawnTotal = 0;
-    if (pool_) {
-        const std::vector<WorkerSlotStats> slots = pool_->stats();
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (i > 0) poolWorkers += ',';
-            JsonWriter sw;
-            sw.field("jobs_served", slots[i].jobsServed)
-                .field("crashes", slots[i].crashes)
-                .field("respawns", slots[i].respawns)
-                .field("consecutive_failures", slots[i].consecutiveFailures)
-                .field("backoff_active", slots[i].backoffActive)
-                .field("alive", slots[i].alive);
-            poolWorkers += sw.str();
-        }
-        respawnTotal = pool_->respawnTotal();
+    const std::vector<WorkerSlotStats> slots = pool_.stats();
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (i > 0) poolWorkers += ',';
+        JsonWriter sw;
+        sw.field("jobs_served", slots[i].jobsServed)
+            .field("crashes", slots[i].crashes)
+            .field("respawns", slots[i].respawns)
+            .field("consecutive_failures", slots[i].consecutiveFailures)
+            .field("backoff_active", slots[i].backoffActive)
+            .field("alive", slots[i].alive);
+        poolWorkers += sw.str();
     }
     poolWorkers += ']';
+    const std::int64_t respawnTotal = pool_.respawnTotal();
     JsonWriter cw;
     if (cache_) {
         const ResultCache::Stats cs = cache_->stats();
@@ -653,7 +649,7 @@ std::string Service::statusJson() {
         .field("clients", static_cast<std::int64_t>(clientCount))
         .field("draining", draining_)
         .field("workers", cfg_.workers)
-        .field("pool", pool_ != nullptr)
+        .field("pool", cfg_.usePool)
         .field("respawn_total", respawnTotal)
         .field("mem_limit", static_cast<std::int64_t>(governor.limitBytes()))
         .field("mem_in_use", static_cast<std::int64_t>(governor.inUseBytes()))
@@ -713,7 +709,7 @@ void Service::dispatcherLoop(int slot) {
             SupervisorConfig sc;
             sc.graceSeconds = cfg_.graceSeconds;
             sc.defaultDeadlineSeconds = cfg_.defaultDeadlineSeconds;
-            r = superviseJob(q.req, sc, &drainState_, q.cancel.get(), pool_.get(), slot);
+            r = superviseJob(q.req, sc, pool_, slot, &drainState_, q.cancel.get());
         }
         r.queueSeconds = queueSeconds;
         const bool cacheInsert = cache_ && q.fingerprint != 0 && !r.cached &&

@@ -1,8 +1,10 @@
 // The long-lived partitioning service (DESIGN.md §11, §13).
 //
-// One Service owns a bounded priority queue, N dispatcher threads (each
-// running at most one fork-isolated worker at a time via superviseJob),
-// and the drain state machine. Requests enter as NDJSON lines through
+// One Service owns a bounded priority queue, N dispatcher threads, the
+// WorkerPool with one slot per dispatcher (each dispatcher runs at most
+// one fork-isolated worker at a time via superviseJob), and the drain
+// state machine. The pool is the only worker path; usePool only chooses
+// whether a slot reuses its worker or retires it after every job. Requests enter as NDJSON lines through
 // handleLine(); every response leaves through an emit callback as one
 // NDJSON line — the transport (stdin/stdout, unix socket) lives in the
 // tool, not here, so tests drive the service as a plain object.
@@ -58,7 +60,7 @@ struct ServiceConfig {
     double drainGraceSeconds = 0.5;    ///< drain → SIGTERM delay for in-flight jobs
     int historyLimit = 32;             ///< recent results kept for "status"
     std::uint64_t memLimitBytes = 0;   ///< 0 = unlimited (mirrors --mem-limit)
-    bool usePool = false;              ///< pre-forked worker pool (one slot per dispatcher)
+    bool usePool = false;              ///< reuse workers; false = fresh process per job
     double poolBackoffBaseSeconds = 0.05;
     double poolBackoffCapSeconds = 2.0;
     int cacheEntries = 0;              ///< result-cache budget; 0 disables it
@@ -203,10 +205,11 @@ private:
     EngineStats engineStats_[portfolio::kEngineCount]; ///< guarded by mu_
     std::int64_t portfolioFallbacks_ = 0;              ///< guarded by mu_
     std::vector<std::thread> dispatchers_;
-    std::unique_ptr<WorkerPool> pool_;
+    WorkerPool pool_; ///< slot i belongs to dispatcher i
     std::unique_ptr<ResultCache> cache_;
     std::unique_ptr<Journal> journal_;
     std::string cachePath_;            ///< "" = cache persistence disabled
+    std::mutex persistMu_;             ///< one cache snapshot writer at a time
     std::int64_t journalReplayed_ = 0; ///< jobs re-enqueued at recovery (mu_)
     std::int64_t replayedResults_ = 0; ///< completed results re-emitted (mu_)
     std::atomic<bool> durabilityLost_{false}; ///< any durability write failed

@@ -2,161 +2,15 @@
 
 #if !defined(_WIN32)
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "robust/checkpoint.h" // hashCombine
-#include "robust/fault_injector.h"
-#include "robust/wire.h"
-#include "serve/worker.h"
 #include "serve/worker_pool.h"
 
 namespace mlpart::serve {
 
-namespace {
-
 using robust::Error;
 using robust::StatusCode;
-
-std::int64_t nowNs() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-constexpr std::int64_t kNoKill = std::int64_t{1} << 62;
-
-/// One fork + supervise cycle. Absorbs every worker failure mode into a
-/// classified Attempt; throws only for parent-side faults (serve.fork).
-Attempt runAttempt(const JobRequest& req, int attempt, const SupervisorConfig& cfg,
-                   const DrainState* drain, const std::atomic<bool>* cancel) {
-    Attempt a;
-
-    MLPART_FAULT_SITE("serve.fork"); // injected spawn failure
-
-    int fds[2];
-    if (pipe(fds) != 0)
-        throw Error(StatusCode::kInternal,
-                    std::string("supervisor: pipe: ") + std::strerror(errno));
-
-    const pid_t pid = fork();
-    if (pid < 0) {
-        const int err = errno;
-        close(fds[0]);
-        close(fds[1]);
-        throw Error(StatusCode::kInternal,
-                    std::string("supervisor: fork: ") + std::strerror(err));
-    }
-    if (pid == 0) {
-        // Shed every inherited fd (client sockets, the listen socket, pool
-        // pipes) so a job in flight never pins another connection open.
-        closeInheritedFds({fds[1]});
-        workerChildMain(req, attempt, fds[1]); // never returns
-    }
-    close(fds[1]);
-
-    // Watchdog: the worker gets its cooperative deadline plus grace, then
-    // SIGKILL. Deadline-less jobs run unbounded until a drain bounds them.
-    const double deadline =
-        req.deadlineSeconds > 0 ? req.deadlineSeconds : cfg.defaultDeadlineSeconds;
-    const std::int64_t graceNs = static_cast<std::int64_t>(cfg.graceSeconds * 1e9);
-    std::int64_t hardKillAt =
-        deadline > 0 ? nowNs() + static_cast<std::int64_t>(deadline * 1e9) + graceNs : kNoKill;
-    bool sigtermSent = false;
-
-    // Read the pipe to EOF concurrently with the watchdog: a worker that
-    // fills the 64 KiB pipe buffer and then wedges must still die on time.
-    std::vector<std::uint8_t> buf;
-    bool eof = false;
-    while (!eof) {
-        const std::int64_t now = nowNs();
-        if (cancel != nullptr && !sigtermSent &&
-            cancel->load(std::memory_order_relaxed)) {
-            // Cancellation: same cooperative wind-down as a drain, but
-            // per-job — SIGTERM once, then bound the wait by the grace.
-            kill(pid, SIGTERM);
-            sigtermSent = true;
-            if (now + graceNs < hardKillAt) hardKillAt = now + graceNs;
-        }
-        if (drain != nullptr && drain->draining.load(std::memory_order_relaxed) &&
-            !sigtermSent &&
-            now >= drain->softKillAtNs.load(std::memory_order_relaxed)) {
-            // Drain wind-down: ask nicely once, then bound the wait.
-            kill(pid, SIGTERM);
-            sigtermSent = true;
-            if (now + graceNs < hardKillAt) hardKillAt = now + graceNs;
-        }
-        if (!a.watchdogKilled && now >= hardKillAt) {
-            kill(pid, SIGKILL);
-            a.watchdogKilled = true;
-        }
-        struct pollfd pfd {};
-        pfd.fd = fds[0];
-        pfd.events = POLLIN;
-        const int rc = poll(&pfd, 1, 50);
-        if (rc < 0) {
-            if (errno == EINTR) continue;
-            break; // poll failure: fall through to reap + classify
-        }
-        if (rc == 0) continue;
-        std::uint8_t chunk[4096];
-        const ssize_t n = read(fds[0], chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            break;
-        }
-        if (n == 0) {
-            eof = true;
-            break;
-        }
-        buf.insert(buf.end(), chunk, chunk + n);
-    }
-    close(fds[0]);
-
-    int wstatus = 0;
-    while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {}
-
-    // Classification order: a complete, CRC-valid frame is the worker's
-    // own word and wins; otherwise the corpse speaks.
-    std::string frameError;
-    try {
-        const std::vector<std::uint8_t> payload = robust::parseFrame(buf.data(), buf.size());
-        a.outcome = decodeJobOutcome(payload.data(), payload.size());
-        return a;
-    } catch (const Error& e) {
-        frameError = e.what();
-    }
-
-    if (a.watchdogKilled) {
-        a.outcome.status = {StatusCode::kDeadlineExceeded,
-                            "watchdog killed worker past deadline+grace (" + frameError + ")"};
-        return a;
-    }
-    if (WIFSIGNALED(wstatus)) {
-        a.crashed = true;
-        a.outcome.status = {StatusCode::kWorkerCrashed,
-                            "worker killed by signal " + std::to_string(WTERMSIG(wstatus)) +
-                                " (" + frameError + ")"};
-        return a;
-    }
-    const int exitCode = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : 1;
-    a.crashed = true; // exited, but its result frame is missing or torn
-    a.outcome.status = {robust::statusForExitCode(exitCode),
-                        "worker exited " + std::to_string(exitCode) +
-                            " without a valid result frame (" + frameError + ")"};
-    return a;
-}
-
-} // namespace
 
 bool isRetryableJobFailure(StatusCode code) {
     switch (code) {
@@ -176,9 +30,8 @@ std::uint64_t reseedForAttempt(std::uint64_t seed, int attempt) {
     return robust::hashCombine(seed, 0x52455452ULL + static_cast<std::uint64_t>(attempt));
 }
 
-JobResult superviseJob(const JobRequest& req, const SupervisorConfig& cfg,
-                       const DrainState* drain, const std::atomic<bool>* cancel,
-                       WorkerPool* pool, int slot) {
+JobResult superviseJob(const JobRequest& req, const SupervisorConfig& cfg, WorkerPool& pool,
+                       int slot, const DrainState* drain, const std::atomic<bool>* cancel) {
     JobResult res;
     res.id = req.id;
     const int maxAttempts = cfg.maxAttempts < 1 ? 1 : cfg.maxAttempts;
@@ -187,8 +40,7 @@ JobResult superviseJob(const JobRequest& req, const SupervisorConfig& cfg,
         r.seed = reseedForAttempt(req.seed, attempt);
         Attempt a;
         try {
-            a = pool != nullptr ? pool->runAttempt(slot, r, attempt, cfg, drain, cancel)
-                                : runAttempt(r, attempt, cfg, drain, cancel);
+            a = pool.runAttempt(slot, r, attempt, cfg, drain, cancel);
         } catch (const Error& e) {
             a.outcome.status = e.status();
         } catch (const std::exception& e) {

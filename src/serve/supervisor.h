@@ -1,16 +1,17 @@
-// Supervisor side of the fork boundary (DESIGN.md §11).
+// Retry and cancel policy over the worker pool (DESIGN.md §11, §13).
 //
-// superviseJob() runs one job in a fork-isolated worker and absorbs every
-// way that worker can die: clean exit with a framed result, SIGSEGV
-// mid-run, a torn final write, an infinite loop. The parent reads the
-// result pipe with a poll loop (concurrently with the watchdog, so a
-// worker that fills the pipe and then hangs still gets killed), reaps the
-// corpse, classifies it through the Status taxonomy, retries retryable
-// failures exactly once with a derived reseed, and always returns a
-// JobResult — a supervisor never throws because of anything a worker did.
+// superviseJob() runs one job on a WorkerPool slot and absorbs every way
+// the worker can die: clean exit with a framed result, SIGSEGV mid-run, a
+// torn final write, an infinite loop. The pool owns the one worker path —
+// spawn, the watchdog / drain / cancel loop, reaping and classification
+// through the Status taxonomy. This layer decides what happens next: it
+// retries retryable failures exactly once with a derived reseed, resolves
+// the cancel/complete race, and always returns a JobResult — a supervisor
+// never throws because of anything a worker did.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "serve/job.h"
@@ -32,6 +33,14 @@ struct SupervisorConfig {
     int maxAttempts = 2;
 };
 
+/// Steady-clock nanoseconds: the time base of DrainState, the watchdog
+/// and the service's queue timings.
+[[nodiscard]] inline std::int64_t nowNs() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
 /// Drain coordination between the service and every in-flight supervisor.
 /// When `draining` flips, each supervisor SIGTERMs its worker once
 /// `softKillAtNs` (steady-clock) passes — the cooperative wind-down — and
@@ -41,8 +50,8 @@ struct DrainState {
     std::atomic<std::int64_t> softKillAtNs{0};
 };
 
-/// One supervised worker execution, before the retry policy is applied.
-/// Produced by the fork-per-job path and by WorkerPool::runAttempt.
+/// One supervised worker execution (WorkerPool::runAttempt), before the
+/// retry policy is applied.
 struct Attempt {
     JobOutcome outcome;
     bool crashed = false;       ///< signal death / torn frame (not watchdog)
@@ -51,19 +60,18 @@ struct Attempt {
 
 class WorkerPool;
 
-/// Runs `req` under supervision. `drain` may be null (no drain channel).
-/// A non-null `cancel` flag is the per-job cancellation channel: when it
-/// flips, the worker is SIGTERMed once (cooperative wind-down, same as a
-/// drain), hard-killed after the grace, never retried, and every non-OK
-/// outcome is reclassified kCancelled — a completed OK result stands, so
-/// the cancel/complete race is deterministic either way. With a non-null
-/// `pool`, attempts dispatch to pre-forked pool worker `slot` instead of
-/// forking per job. Every failure mode comes back as a classified
-/// JobResult.
+/// Runs `req` on pool slot `slot` under supervision. `drain` may be null
+/// (no drain channel). A non-null `cancel` flag is the per-job
+/// cancellation channel: when it flips, the worker is SIGTERMed once
+/// (cooperative wind-down, same as a drain), hard-killed after the grace,
+/// never retried, and every non-OK outcome is reclassified kCancelled — a
+/// completed OK result stands, so the cancel/complete race is
+/// deterministic either way. Every failure mode comes back as a
+/// classified JobResult.
 [[nodiscard]] JobResult superviseJob(const JobRequest& req, const SupervisorConfig& cfg,
+                                     WorkerPool& pool, int slot,
                                      const DrainState* drain = nullptr,
-                                     const std::atomic<bool>* cancel = nullptr,
-                                     WorkerPool* pool = nullptr, int slot = 0);
+                                     const std::atomic<bool>* cancel = nullptr);
 
 /// Retry policy: true for failures where a fresh worker with a reseeded
 /// RNG has a chance (crash, torn frame, injected fault, OOM, all starts

@@ -210,19 +210,12 @@ std::atomic<bool> g_workerCancel{false};
 
 extern "C" void onWorkerTerm(int) { g_workerCancel.store(true, std::memory_order_relaxed); }
 
-} // namespace
-
-namespace {
-
-/// The shared per-job body of both child modes: re-arm fault injection,
-/// visit the containment sites, execute, frame the outcome onto
-/// `resultFd`. Returns the outcome's status code; _exits directly on a
-/// torn-write fault or a dead result pipe. `rearmEnvWhenSpecEmpty` is the
-/// pooled-worker discipline — re-arming resets the injector's hit
-/// counters, so job N+1 sees the same fault determinism a fresh fork
-/// would, instead of counters accumulated across the worker's lifetime.
-StatusCode serveOneJob(const JobRequest& req, int attempt, int resultFd,
-                       bool rearmEnvWhenSpecEmpty) {
+/// One job inside a worker: re-arm fault injection, visit the containment
+/// sites, execute, frame the outcome onto `resultFd`. _exits directly on a
+/// torn-write fault or a dead result pipe. Re-arming resets the
+/// injector's hit counters, so every job sees the same fault determinism
+/// however many jobs its worker has served.
+void serveOneJob(const JobRequest& req, int attempt, int resultFd) {
     g_workerCancel.store(false, std::memory_order_relaxed);
 
     // The per-job fault spec overrides whatever arming the parent's
@@ -233,7 +226,7 @@ StatusCode serveOneJob(const JobRequest& req, int attempt, int resultFd,
             robust::FaultInjector::instance().armFromSpec(req.faultSpec);
         else
             robust::FaultInjector::instance().disarm();
-    } else if (rearmEnvWhenSpecEmpty) {
+    } else {
         robust::FaultInjector::instance().disarm();
         try {
             (void)robust::FaultInjector::instance().armFromEnv();
@@ -277,18 +270,11 @@ StatusCode serveOneJob(const JobRequest& req, int attempt, int resultFd,
     }
     robust::Status ws = robust::writeFull(resultFd, frame.data(), frame.size());
     if (!ws.ok()) _exit(robust::exitCodeFor(StatusCode::kInternal));
-    return out.status.code;
 }
 
 /// Job-pipe frames carry inline netlists, so the sanity cap is generous;
 /// anything beyond it is not a request the parent would ever send.
 constexpr std::uint64_t kMaxRequestFrameBytes = 1ull << 30;
-
-std::uint64_t loadLe64(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
 
 /// Closes [first, last] without enumerating a potentially huge fd table:
 /// one close_range(2) syscall where the kernel has it, a bounded loop
@@ -327,16 +313,10 @@ void closeInheritedFds(std::initializer_list<int> keep) {
     closeFdSpan(next, std::numeric_limits<int>::max());
 }
 
-void workerChildMain(const JobRequest& req, int attempt, int resultFd) {
-    // SIGTERM is the drain signal: wind down cooperatively, emit
+void workerPoolMain(int jobFd, int resultFd) {
+    // SIGTERM is the drain / cancel signal: wind down cooperatively, emit
     // best-so-far, keep the checkpoint. SIGINT stays default — the
     // supervisor never sends it to a worker.
-    std::signal(SIGTERM, onWorkerTerm);
-    _exit(robust::exitCodeFor(serveOneJob(req, attempt, resultFd,
-                                          /*rearmEnvWhenSpecEmpty=*/false)));
-}
-
-void workerPoolMain(int jobFd, int resultFd) {
     std::signal(SIGTERM, onWorkerTerm);
     for (;;) {
         std::uint8_t header[robust::kFrameHeaderBytes];
@@ -346,13 +326,14 @@ void workerPoolMain(int jobFd, int resultFd) {
         } catch (...) {
             _exit(robust::exitCodeFor(StatusCode::kInternal));
         }
-        if (got == 0) _exit(0); // EOF between jobs: clean pool shutdown
+        if (got == 0) _exit(0); // EOF between jobs: retirement or pool shutdown
         if (got < sizeof(header)) _exit(robust::exitCodeFor(StatusCode::kParseError));
-        if (header[0] != 'M' || header[1] != 'L' || header[2] != 'W' || header[3] != 'F')
+        std::uint64_t payloadLen = 0;
+        try {
+            payloadLen = robust::framePayloadLength(header, kMaxRequestFrameBytes);
+        } catch (...) {
             _exit(robust::exitCodeFor(StatusCode::kParseError));
-        const std::uint64_t payloadLen = loadLe64(header + 4);
-        if (payloadLen > kMaxRequestFrameBytes)
-            _exit(robust::exitCodeFor(StatusCode::kParseError));
+        }
 
         std::vector<std::uint8_t> frame(sizeof(header) + payloadLen);
         std::memcpy(frame.data(), header, sizeof(header));
@@ -373,7 +354,7 @@ void workerPoolMain(int jobFd, int resultFd) {
         } catch (...) {
             _exit(robust::exitCodeFor(StatusCode::kParseError));
         }
-        (void)serveOneJob(req, attempt, resultFd, /*rearmEnvWhenSpecEmpty=*/true);
+        serveOneJob(req, attempt, resultFd);
     }
 }
 

@@ -1,13 +1,14 @@
-// Worker side of the supervised fork (DESIGN.md §11).
+// Worker side of the supervised fork (DESIGN.md §11, §13).
 //
 // executeJob() is the pure library path — request in, outcome out, no
 // process machinery — shared by the worker child and the unit tests that
-// want to exercise job semantics without forking. workerChildMain() is
-// what actually runs inside the fork: it installs the SIGTERM→cancel
-// handler, arms the request's deterministic fault spec (the containment
-// tests' handle), visits the serve.worker_crash / serve.worker_hang /
-// serve.pipe sites, frames the outcome onto the result pipe, and always
-// leaves via _exit() — a worker never returns into the parent's stack.
+// want to exercise job semantics without forking. workerPoolMain() is
+// what actually runs inside every worker process the pool forks: it
+// installs the SIGTERM→cancel handler and then, per job, arms the
+// request's deterministic fault spec (the containment tests' handle),
+// visits the serve.worker_crash / serve.worker_hang / serve.pipe sites,
+// and frames the outcome onto the result pipe. It always leaves via
+// _exit() — a worker never returns into the parent's stack.
 #pragma once
 
 #include <atomic>
@@ -34,21 +35,14 @@ namespace mlpart::serve {
 /// rebound socket path could still have a live listener in a child.
 void closeInheritedFds(std::initializer_list<int> keep);
 
-/// Child entry after fork(): executes `req` (attempt index `attempt`,
-/// used for the retry reseed and fault-spec arming) and writes one
-/// CRC-framed JobOutcome to `resultFd`. Never returns; exits via _exit
-/// with exitCodeFor(outcome.status.code) so the parent can classify even
-/// a torn or missing frame.
-[[noreturn]] void workerChildMain(const JobRequest& req, int attempt, int resultFd);
-
-/// Child entry for a pre-forked pool worker (DESIGN.md §13): loops
-/// reading CRC-framed JobRequests from `jobFd` and answering each with
-/// one CRC-framed JobOutcome on `resultFd`. Per job it clears the cancel
-/// flag and re-arms fault injection from the request spec (or the
-/// environment when the spec is empty), so a long-lived worker reproduces
-/// the fork-per-job fault determinism exactly. EOF on `jobFd` is the
-/// clean shutdown signal (_exit(0)); any framing damage on the job pipe
-/// is fatal to the worker, never guessed around. Never returns.
+/// Child entry for a pool worker (DESIGN.md §13): loops reading
+/// CRC-framed JobRequests from `jobFd` and answering each with one
+/// CRC-framed JobOutcome on `resultFd`. Per job it clears the cancel flag
+/// and re-arms fault injection from the request spec (or the environment
+/// when the spec is empty), so a worker's Nth job behaves exactly like its
+/// first. EOF on `jobFd` — retirement after a job, or pool shutdown — is
+/// the clean exit (_exit(0)); any framing damage on the job pipe is fatal
+/// to the worker, never guessed around. Never returns.
 [[noreturn]] void workerPoolMain(int jobFd, int resultFd);
 #endif
 

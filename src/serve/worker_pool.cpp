@@ -26,28 +26,11 @@ namespace {
 using robust::Error;
 using robust::StatusCode;
 
-std::int64_t nowNs() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 constexpr std::int64_t kNoKill = std::int64_t{1} << 62;
 
 /// Outcome frames are a status message plus scalars; anything bigger than
 /// this on the result pipe is a protocol violation, not a result.
 constexpr std::uint64_t kMaxOutcomeFrameBytes = 1ull << 20;
-
-/// Little-endian u64 at `p` (the frame's payload-length field).
-std::uint64_t loadLe64(const std::uint8_t* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-}
-
-bool frameMagicOk(const std::uint8_t* p) {
-    return p[0] == 'M' && p[1] == 'L' && p[2] == 'W' && p[3] == 'F';
-}
 
 } // namespace
 
@@ -64,7 +47,8 @@ WorkerPool::WorkerPool(WorkerPoolConfig cfg) : cfg_(cfg) {
 
 WorkerPool::~WorkerPool() { shutdown(); }
 
-void WorkerPool::spawnLocked(Slot& s) {
+void WorkerPool::spawn(Slot& s) {
+    std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_)
         throw Error(StatusCode::kInternal, "worker pool: spawn after shutdown");
 
@@ -107,23 +91,21 @@ void WorkerPool::spawnLocked(Slot& s) {
     s.pid = pid;
     s.jobFd = toChild[1];
     s.resultFd = fromChild[0];
-    if (s.everSpawned) ++s.respawns;
-    s.everSpawned = true;
-}
-
-void WorkerPool::spawn(Slot& s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    spawnLocked(s);
+    if (s.replacingDead) ++s.respawns;
+    s.replacingDead = false;
 }
 
 int WorkerPool::reap(Slot& s) {
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (s.jobFd >= 0) close(s.jobFd);
+        s.jobFd = -1;
+    }
     int wstatus = 0;
     if (s.pid >= 0)
         while (waitpid(s.pid, &wstatus, 0) < 0 && errno == EINTR) {}
     std::lock_guard<std::mutex> lock(mu_);
-    if (s.jobFd >= 0) close(s.jobFd);
     if (s.resultFd >= 0) close(s.resultFd);
-    s.jobFd = -1;
     s.resultFd = -1;
     s.pid = -1;
     return wstatus;
@@ -133,6 +115,7 @@ void WorkerPool::noteFailure(Slot& s) {
     std::lock_guard<std::mutex> lock(mu_);
     ++s.crashes;
     ++s.consecutiveFailures;
+    s.replacingDead = true;
     const double backoff =
         std::min(cfg_.backoffCapSeconds,
                  cfg_.backoffBaseSeconds *
@@ -185,10 +168,9 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
         }
     }
 
-    // Supervise the result with the same watchdog / drain / cancel policy
-    // as the fork-per-job path — but stop at one complete frame instead
-    // of pipe EOF, because a healthy pooled worker stays alive (and keeps
-    // the pipe open) for its next job.
+    // Supervise the result under the watchdog / drain / cancel policy,
+    // stopping at one complete frame: a healthy worker keeps its pipes
+    // open, waiting for its next job or for retirement.
     const double deadline =
         req.deadlineSeconds > 0 ? req.deadlineSeconds : cfg.defaultDeadlineSeconds;
     const std::int64_t graceNs = static_cast<std::int64_t>(cfg.graceSeconds * 1e9);
@@ -241,16 +223,13 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
         }
         buf.insert(buf.end(), chunk, chunk + n);
         if (want == 0 && buf.size() >= robust::kFrameHeaderBytes) {
-            if (!frameMagicOk(buf.data())) {
-                frameError = "bad frame magic on the result pipe";
+            try {
+                want = robust::kFrameHeaderBytes +
+                       robust::framePayloadLength(buf.data(), kMaxOutcomeFrameBytes);
+            } catch (const Error& e) {
+                frameError = e.what();
                 break;
             }
-            const std::uint64_t len = loadLe64(buf.data() + 4);
-            if (len > kMaxOutcomeFrameBytes) {
-                frameError = "oversized result frame (" + std::to_string(len) + " bytes)";
-                break;
-            }
-            want = robust::kFrameHeaderBytes + len;
         }
         if (want > 0 && buf.size() >= want) {
             if (buf.size() > want) {
@@ -266,10 +245,13 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
             const std::vector<std::uint8_t> payload =
                 robust::parseFrame(buf.data(), buf.size());
             a.outcome = decodeJobOutcome(payload.data(), payload.size());
+            // Planned retirement: the worker exits on job-pipe EOF. Its
+            // exit is not a failure — the frame already settled the job.
+            if (cfg_.retireAfterJob) (void)reap(s);
             std::lock_guard<std::mutex> lock(mu_);
             ++s.jobsServed;
             s.consecutiveFailures = 0;
-            return a; // the worker survives and stays pooled
+            return a;
         } catch (const Error& e) {
             frameError = e.what(); // CRC-valid framing lied: treat as hostile
         }
@@ -284,21 +266,21 @@ Attempt WorkerPool::runAttempt(int slot, const JobRequest& req, int attempt,
 
     if (a.watchdogKilled) {
         a.outcome.status = {StatusCode::kDeadlineExceeded,
-                            "watchdog killed pool worker past deadline+grace (" + frameError +
+                            "watchdog killed worker past deadline+grace (" + frameError +
                                 ")"};
         return a;
     }
     if (WIFSIGNALED(wstatus)) {
         a.crashed = true;
         a.outcome.status = {StatusCode::kWorkerCrashed,
-                            "pool worker killed by signal " +
+                            "worker killed by signal " +
                                 std::to_string(WTERMSIG(wstatus)) + " (" + frameError + ")"};
         return a;
     }
     const int exitCode = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : 1;
     a.crashed = true; // exited mid-job without a valid result frame
     a.outcome.status = {robust::statusForExitCode(exitCode),
-                        "pool worker exited " + std::to_string(exitCode) +
+                        "worker exited " + std::to_string(exitCode) +
                             " without a valid result frame (" + frameError + ")"};
     return a;
 }

@@ -1,14 +1,17 @@
-// Pre-forked worker pool (DESIGN.md §13).
+// The worker pool: the one way a job reaches a worker process (DESIGN.md
+// §11, §13).
 //
-// PR 5 proved fork-isolated crash containment at one fork() per job; this
-// pool amortizes the fork across small-job streams while keeping the
-// containment story per *worker*: each slot owns one long-lived child
-// process that serves framed JobRequests from a pipe and answers each
-// with one CRC-framed JobOutcome. A worker that crashes, tears a frame,
+// Each slot owns at most one forked child that serves framed JobRequests
+// from a pipe and answers each with one CRC-framed JobOutcome. A slot
+// either reuses its worker for the next job (`--pool`) or retires it
+// after every job — the parent closes the job pipe once the outcome frame
+// is in, the worker exits on that EOF, and the parent reaps it — so
+// every job gets a fresh process. A worker that crashes, tears a frame,
 // violates the protocol, or is watchdog-killed is reaped and respawned on
 // the next job — with per-slot crash accounting and exponential backoff
 // on a flapping worker, so a poisoned pool degrades into slow retries
-// instead of a fork bomb.
+// instead of a fork bomb. A planned retirement is neither a crash nor a
+// respawn.
 //
 // Threading contract: slot i is driven by exactly one dispatcher thread
 // at a time (the service pins dispatcher i to slot i); stats() may be
@@ -35,6 +38,9 @@ struct WorkerPoolConfig {
     /// failure up to backoffCapSeconds, resets on any served job.
     double backoffBaseSeconds = 0.05;
     double backoffCapSeconds = 2.0;
+    /// Retire each worker after one job, so every job runs in a fresh
+    /// process; false reuses a healthy worker for the slot's next job.
+    bool retireAfterJob = false;
 };
 
 /// Snapshot of one slot for {"op":"status"} — soak assertions read these
@@ -42,7 +48,7 @@ struct WorkerPoolConfig {
 struct WorkerSlotStats {
     std::int64_t jobsServed = 0;
     std::int64_t crashes = 0;   ///< worker deaths while this slot owned a job
-    std::int64_t respawns = 0;  ///< fresh processes forked after the first
+    std::int64_t respawns = 0;  ///< fresh processes forked to replace a dead worker
     int consecutiveFailures = 0;
     bool backoffActive = false; ///< a respawn is currently being delayed
     bool alive = false;
@@ -57,11 +63,11 @@ public:
     WorkerPool& operator=(const WorkerPool&) = delete;
 
     /// Dispatches one job attempt to slot `slot`, spawning or respawning
-    /// the worker as needed (honouring the slot's backoff). Applies the
-    /// same watchdog / drain / cancel supervision policy as the
-    /// fork-per-job path and classifies every worker failure mode into
-    /// the returned Attempt. Throws only for parent-side spawn failures
-    /// (classified retryable by the caller).
+    /// the worker as needed (honouring the slot's backoff). Runs the
+    /// watchdog / drain / cancel loop and classifies every worker failure
+    /// mode into the returned Attempt, in the precedence valid frame >
+    /// watchdog kill > signal > exit code. Throws only for parent-side
+    /// spawn failures (classified retryable by the caller).
     [[nodiscard]] Attempt runAttempt(int slot, const JobRequest& req, int attempt,
                                      const SupervisorConfig& cfg, const DrainState* drain,
                                      const std::atomic<bool>* cancel);
@@ -85,13 +91,13 @@ private:
         int consecutiveFailures = 0;
         std::int64_t backoffUntilNs = 0;
         bool backoffActive = false;
-        bool everSpawned = false;
+        bool replacingDead = false; ///< the next spawn is a respawn
     };
 
-    void spawnLocked(Slot& s); ///< caller holds spawnMu_; throws Error on failure
-    void spawn(Slot& s);
-    /// Reaps a dead worker's corpse and closes its pipes. Returns the
-    /// wait status (0 when the pid was already gone).
+    void spawn(Slot& s); ///< throws Error on failure
+    /// Closes the job pipe (a live worker exits on that EOF), reaps the
+    /// worker and closes the result pipe. Returns the wait status (0 when
+    /// the pid was already gone).
     int reap(Slot& s);
     void noteFailure(Slot& s); ///< crash accounting + backoff scheduling
     void waitOutBackoff(Slot& s);

@@ -41,6 +41,7 @@
 #include "serve/service.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
+#include "serve/worker_pool.h"
 
 namespace mlpart::serve {
 namespace {
@@ -183,6 +184,16 @@ TEST(ServeJson, WriterRoundTripsThroughParser) {
     EXPECT_FALSE(getBool(o, "b", true));
 }
 
+TEST(ServeJson, DoublesRenderAsShortestRoundTrip) {
+    EXPECT_EQ(JsonWriter().field("x", 0.1).str(), "{\"x\":0.1}");
+    EXPECT_EQ(JsonWriter().field("x", 2.0).str(), "{\"x\":2}");
+    for (const double v : {0.1, 0.020594479999999998, 1.0 / 3.0, -2.5e-9, 1e300, 4.9e-324,
+                           123456.789, 0.0}) {
+        const JsonObject o = parseJsonObject(JsonWriter().field("x", v).str());
+        EXPECT_EQ(getNumber(o, "x", -1), v) << "not bit-exact: " << v;
+    }
+}
+
 // ------------------------------------------------------------ requests
 
 TEST(ServeJob, ParsesRequestWithDefaults) {
@@ -264,6 +275,20 @@ TEST(ServeWire, CorruptionAndTrailingBytesAreParseErrors) {
     std::vector<std::uint8_t> trailing = frame;
     trailing.push_back(0);
     EXPECT_THROW((void)robust::parseFrame(trailing.data(), trailing.size()), Error);
+    // The header check both pipe ends run before reading a payload.
+    EXPECT_EQ(robust::framePayloadLength(frame.data(), 1u << 20),
+              frame.size() - robust::kFrameHeaderBytes);
+    std::vector<std::uint8_t> badMagic = frame;
+    badMagic[3] ^= 0x01;
+    EXPECT_THROW((void)robust::framePayloadLength(badMagic.data(), 1u << 20), Error);
+    EXPECT_THROW((void)robust::parseFrame(badMagic.data(), badMagic.size()), Error);
+    std::vector<std::uint8_t> oversize = frame;
+    oversize[11] = 0x01; // declares a payload of at least 2^56 bytes
+    EXPECT_THROW((void)robust::framePayloadLength(oversize.data(), 1u << 20), Error);
+    EXPECT_THROW((void)robust::parseFrame(oversize.data(), oversize.size()), Error);
+    EXPECT_THROW((void)robust::framePayloadLength(frame.data(),
+                                                  frame.size() - robust::kFrameHeaderBytes - 1),
+                 Error);
 }
 
 // --------------------------------------------------- in-process worker
@@ -287,8 +312,17 @@ TEST(ServeWorker, ClassifiesInfeasibleAndParseErrors) {
 
 // ------------------------------------------------------- supervision
 
+/// superviseJob on a one-slot pool that retires its worker after every
+/// job: each attempt runs in a fresh process.
+JobResult superviseOnFreshWorkers(const JobRequest& req, const SupervisorConfig& cfg) {
+    WorkerPoolConfig pc;
+    pc.retireAfterJob = true;
+    WorkerPool pool(pc);
+    return superviseJob(req, cfg, pool, 0);
+}
+
 TEST(ServeSupervisor, CleanJobRunsOnce) {
-    const JobResult r = superviseJob(tinyRequest("clean"), SupervisorConfig{});
+    const JobResult r = superviseOnFreshWorkers(tinyRequest("clean"), SupervisorConfig{});
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
     EXPECT_EQ(r.attempts, 1);
     EXPECT_EQ(r.crashes, 0);
@@ -299,7 +333,7 @@ TEST(ServeSupervisor, Sigsegv0MidJobIsContainedAndRetried) {
     JobRequest req = tinyRequest("crash-once");
     req.faultSpec = "site=serve.worker_crash,at=1";
     req.faultAttempts = 1; // crash attempt 0 only; the retry runs clean
-    const JobResult r = superviseJob(req, SupervisorConfig{});
+    const JobResult r = superviseOnFreshWorkers(req, SupervisorConfig{});
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
     EXPECT_EQ(r.attempts, 2);
     EXPECT_EQ(r.crashes, 1);
@@ -310,7 +344,7 @@ TEST(ServeSupervisor, Sigsegv0MidJobIsContainedAndRetried) {
 TEST(ServeSupervisor, PersistentCrashClassifiesAfterOneRetry) {
     JobRequest req = tinyRequest("crash-always");
     req.faultSpec = "site=serve.worker_crash,at=1"; // every attempt re-arms
-    const JobResult r = superviseJob(req, SupervisorConfig{});
+    const JobResult r = superviseOnFreshWorkers(req, SupervisorConfig{});
     EXPECT_EQ(r.outcome.status.code, StatusCode::kWorkerCrashed);
     EXPECT_EQ(r.attempts, 2); // retried once, then classified — never looping
     EXPECT_EQ(r.crashes, 2);
@@ -320,7 +354,7 @@ TEST(ServeSupervisor, TornResultFrameDegradesToRetryNotGarbage) {
     JobRequest req = tinyRequest("torn");
     req.faultSpec = "site=serve.pipe,at=1";
     req.faultAttempts = 1;
-    const JobResult r = superviseJob(req, SupervisorConfig{});
+    const JobResult r = superviseOnFreshWorkers(req, SupervisorConfig{});
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
     EXPECT_EQ(r.attempts, 2);
     EXPECT_EQ(r.crashes, 1); // the torn attempt counts as a crash
@@ -333,7 +367,7 @@ TEST(ServeSupervisor, WatchdogKillsHungWorkerWithinDeadlinePlusGrace) {
     SupervisorConfig cfg;
     cfg.graceSeconds = 0.2;
     const auto t0 = std::chrono::steady_clock::now();
-    const JobResult r = superviseJob(req, cfg);
+    const JobResult r = superviseOnFreshWorkers(req, cfg);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     EXPECT_EQ(r.outcome.status.code, StatusCode::kDeadlineExceeded);
@@ -348,7 +382,7 @@ TEST(ServeSupervisor, InjectedForkFailureIsRetried) {
     plan.site = "serve.fork";
     plan.fireAtHit = 1;
     robust::FaultInjector::instance().arm(plan);
-    const JobResult r = superviseJob(tinyRequest("forkfail"), SupervisorConfig{});
+    const JobResult r = superviseOnFreshWorkers(tinyRequest("forkfail"), SupervisorConfig{});
     EXPECT_GE(robust::FaultInjector::instance().fires(), 1);
     robust::FaultInjector::instance().disarm();
     ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
@@ -376,13 +410,15 @@ TEST(ServeSupervisor, RetryPolicyMatchesTheTaxonomy) {
 
 // ---------------------------------------------------------- the service
 
-TEST(ServeService, CrashContainmentIsBitIdenticalAcrossWorkerCounts) {
-    // A mixed batch: clean jobs plus jobs whose first attempt SIGSEGVs /
-    // tears its frame. Per-job fault specs arm inside the worker fork, so
-    // the attempt pattern — and therefore every surviving result — is a
-    // function of the request alone, not of scheduling. The service must
-    // survive all of it (the supervisor never dies) and produce the same
-    // cut + partition CRC for every job id at every worker count.
+// One cell of the crash-containment matrix: a mixed batch of clean jobs,
+// jobs whose first attempt SIGSEGVs / tears its frame, and one that
+// crashes on every attempt, run through a service with the given worker
+// path and width. Per-job fault specs are re-armed by the worker for every
+// job, so the attempt pattern — and therefore every surviving result — is
+// a function of the request alone, not of scheduling or of how many jobs a
+// worker has served. Returns "status/cut/crc/attempts" per job id, after
+// spot-checking the containment semantics.
+std::map<std::string, std::string> runMixedBatchCell(bool usePool, int workers) {
     const std::vector<std::string> jobs = {
         tinyJob("clean-1", "\"seed\":11"),
         tinyJob("clean-2", "\"seed\":12"),
@@ -393,38 +429,45 @@ TEST(ServeService, CrashContainmentIsBitIdenticalAcrossWorkerCounts) {
         tinyJob("dead-1", "\"seed\":15,\"fault\":\"site=serve.worker_crash,at=1\""),
         tinyJob("clean-3", "\"seed\":16"),
     };
-    std::map<std::string, std::map<std::string, std::string>> byWorkers;
-    for (const int workers : {1, 2, 8}) {
-        Capture cap;
-        ServiceConfig cfg;
-        cfg.workers = workers;
-        {
-            Service service(cfg, cap.sink());
-            for (const std::string& j : jobs) service.handleLine(j);
-            service.stop();
-        }
-        std::map<std::string, std::string> results;
-        for (const std::string& j : jobs) {
-            const std::string id = parseJobRequest(j).id;
-            const std::string line = cap.lineFor(id);
-            const JsonObject o = parseJsonObject(line);
-            results[id] = getString(o, "status", "?") + "/cut=" +
-                          std::to_string(getInt(o, "cut", -2)) + "/crc=" +
-                          std::to_string(getInt(o, "part_crc", -2)) + "/attempts=" +
-                          std::to_string(getInt(o, "attempts", -2));
-        }
-        byWorkers[std::to_string(workers)] = results;
-        // Spot-check the containment semantics once.
-        const JsonObject crash = parseJsonObject(cap.lineFor("crash-1"));
-        EXPECT_EQ(getInt(crash, "attempts", 0), 2);
-        EXPECT_EQ(getInt(crash, "crashes", 0), 1);
-        EXPECT_EQ(getString(crash, "status", ""), "OK");
-        const JsonObject dead = parseJsonObject(cap.lineFor("dead-1"));
-        EXPECT_EQ(getString(dead, "status", ""), "WORKER_CRASHED");
-        EXPECT_EQ(getInt(dead, "attempts", 0), 2);
+    SCOPED_TRACE((usePool ? "pool" : "fresh") + std::string("/workers=") +
+                 std::to_string(workers));
+    Capture cap;
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.usePool = usePool;
+    cfg.poolBackoffBaseSeconds = 0.01; // keep the crash jobs quick
+    {
+        Service service(cfg, cap.sink());
+        for (const std::string& j : jobs) service.handleLine(j);
+        service.stop();
     }
-    EXPECT_EQ(byWorkers.at("1"), byWorkers.at("2"));
-    EXPECT_EQ(byWorkers.at("1"), byWorkers.at("8"));
+    std::map<std::string, std::string> results;
+    for (const std::string& j : jobs) {
+        const std::string id = parseJobRequest(j).id;
+        const JsonObject o = parseJsonObject(cap.resultFor(id));
+        results[id] = getString(o, "status", "?") + "/cut=" +
+                      std::to_string(getInt(o, "cut", -2)) + "/crc=" +
+                      std::to_string(getInt(o, "part_crc", -2)) + "/attempts=" +
+                      std::to_string(getInt(o, "attempts", -2));
+    }
+    const JsonObject crash = parseJsonObject(cap.resultFor("crash-1"));
+    EXPECT_EQ(getInt(crash, "attempts", 0), 2);
+    EXPECT_EQ(getInt(crash, "crashes", 0), 1);
+    EXPECT_EQ(getString(crash, "status", ""), "OK");
+    const JsonObject dead = parseJsonObject(cap.resultFor("dead-1"));
+    EXPECT_EQ(getString(dead, "status", ""), "WORKER_CRASHED");
+    EXPECT_EQ(getInt(dead, "attempts", 0), 2);
+    return results;
+}
+
+TEST(ServeService, CrashContainmentIsBitIdenticalAcrossWorkerCounts) {
+    // The fresh-process half of the matrix: the service survives every
+    // crash (the supervisor never dies) and produces the same status, cut,
+    // partition CRC and attempt count for every job id at 1, 2 and 8
+    // workers.
+    const auto reference = runMixedBatchCell(/*usePool=*/false, 1);
+    EXPECT_EQ(runMixedBatchCell(false, 2), reference);
+    EXPECT_EQ(runMixedBatchCell(false, 8), reference);
 }
 
 TEST(ServeService, ShedsLowestPriorityWhenTheQueueOverflows) {
@@ -726,47 +769,13 @@ TEST(ServeCancel, CancellingAHungWorkerStillResolvesToCancelled) {
 // ------------------------------------------------------------ worker pool
 
 TEST(ServePool, PoolResultsAreBitIdenticalToForkPerJobAcrossWorkerCounts) {
-    // The same mixed batch the fork-per-job determinism test uses: clean
-    // jobs plus first-attempt crashes and torn frames. Pooled workers
-    // re-arm the per-job fault spec per request, so attempt patterns —
-    // and cut + partition CRC — must match fork-per-job exactly, at every
-    // pool width.
-    const std::vector<std::string> jobs = {
-        tinyJob("p-clean-1", "\"seed\":11"),
-        tinyJob("p-clean-2", "\"seed\":12"),
-        tinyJob("p-crash-1",
-                "\"seed\":13,\"fault\":\"site=serve.worker_crash,at=1\",\"fault_attempts\":1"),
-        tinyJob("p-torn-1",
-                "\"seed\":14,\"fault\":\"site=serve.pipe,at=1\",\"fault_attempts\":1"),
-        tinyJob("p-dead-1", "\"seed\":15,\"fault\":\"site=serve.worker_crash,at=1\""),
-        tinyJob("p-clean-3", "\"seed\":16"),
-    };
-    std::map<std::string, std::map<std::string, std::string>> byConfig;
-    for (const int workers : {0, 1, 2, 8}) { // 0 = fork-per-job reference
-        Capture cap;
-        ServiceConfig cfg;
-        cfg.workers = workers == 0 ? 1 : workers;
-        cfg.usePool = workers != 0;
-        cfg.poolBackoffBaseSeconds = 0.01; // keep the crash jobs quick
-        {
-            Service service(cfg, cap.sink());
-            for (const std::string& j : jobs) service.handleLine(j);
-            service.stop();
-        }
-        std::map<std::string, std::string> results;
-        for (const std::string& j : jobs) {
-            const std::string id = parseJobRequest(j).id;
-            const JsonObject o = parseJsonObject(cap.resultFor(id));
-            results[id] = getString(o, "status", "?") + "/cut=" +
-                          std::to_string(getInt(o, "cut", -2)) + "/crc=" +
-                          std::to_string(getInt(o, "part_crc", -2)) + "/attempts=" +
-                          std::to_string(getInt(o, "attempts", -2));
-        }
-        byConfig[workers == 0 ? "fork" : "pool" + std::to_string(workers)] = results;
-    }
-    EXPECT_EQ(byConfig.at("fork"), byConfig.at("pool1"));
-    EXPECT_EQ(byConfig.at("fork"), byConfig.at("pool2"));
-    EXPECT_EQ(byConfig.at("fork"), byConfig.at("pool8"));
+    // The reused-worker half of the crash-containment matrix: pooled
+    // workers re-arm the per-job fault spec per request, so attempt
+    // patterns — and cut + partition CRC — must match a fresh process per
+    // job exactly, at every pool width.
+    const auto fresh = runMixedBatchCell(/*usePool=*/false, 1);
+    for (const int workers : {1, 2, 8})
+        EXPECT_EQ(runMixedBatchCell(/*usePool=*/true, workers), fresh) << workers;
 }
 
 TEST(ServePool, CrashedWorkerIsReapedRespawnedAndAccounted) {
@@ -1386,6 +1395,40 @@ TEST(ServeDurable, PersistedCacheHitsBitIdenticallyAcrossRestart) {
     EXPECT_EQ(getInt(warm, "cut", -1), getInt(cold, "cut", -2));
     EXPECT_EQ(getInt(warm, "part_crc", -1), getInt(cold, "part_crc", -2));
     EXPECT_GE(statusInt(status, "cache_persisted_hits"), 1) << status;
+}
+
+// Two dispatchers that finish cached jobs at the same moment both persist
+// the cache snapshot through the same temp file. Unserialized, one
+// rename finds the other's temp file already gone, which degrades the
+// service to non-durable mode for no reason.
+TEST(ServeDurable, ConcurrentCacheSnapshotsStayDurable) {
+    MLPART_SKIP_NEEDS_LIVE_WORKER();
+    const std::string dir = durableDir("snapshots");
+    constexpr int kJobs = 240;
+    Capture cap;
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.usePool = true;
+    cfg.queueLimit = kJobs;
+    cfg.cacheEntries = 512;
+    cfg.stateDir = dir;
+    std::string status;
+    {
+        Service service(cfg, cap.sink());
+        for (int i = 0; i < kJobs; ++i)
+            service.handleLine(tinyJob("snap-" + std::to_string(i),
+                                       "\"seed\":" + std::to_string(1000 + i)));
+        service.stop();
+        status = service.statusJson();
+    }
+    for (int i = 0; i < kJobs; ++i)
+        ASSERT_NE(cap.resultFor("snap-" + std::to_string(i)).find("\"status\":\"OK\""),
+                  std::string::npos);
+    for (const std::string& l : cap.snapshot())
+        EXPECT_EQ(l.find("\"event\":\"warning\""), std::string::npos) << l;
+    EXPECT_NE(status.find("\"degraded_nondurable\":false"), std::string::npos) << status;
+    ResultCache reloaded(cfg.cacheEntries);
+    EXPECT_EQ(reloaded.loadFromFile(dir + "/cache.bin"), kJobs);
 }
 
 TEST(ServeDurable, JournalWriteFailureDegradesToNonDurableAndKeepsServing) {

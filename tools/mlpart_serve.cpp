@@ -8,11 +8,13 @@
 // Reads one NDJSON job request per line from stdin (or, with --socket,
 // from any number of concurrent clients of a unix stream socket) and
 // answers every request with exactly one NDJSON line on stdout (or the
-// requesting client's connection). Jobs run in fork-isolated workers — by
-// default one fork per job, with --pool in pre-forked per-dispatcher
-// workers that are reaped and respawned (with exponential backoff) when
-// they crash. {"op":"cancel","id":...} drops a queued job or winds down a
-// running one to a deterministic CANCELLED response; --cache N replays
+// requesting client's connection). Jobs run in fork-isolated workers, one
+// pool slot per dispatcher: by default a slot retires its worker after
+// every job, so each job gets a fresh process; --pool reuses the worker
+// instead. Either way a crashed worker is reaped and respawned (with
+// exponential backoff). {"op":"cancel","id":...} drops a queued job or
+// winds down a running one to a deterministic CANCELLED response; --cache
+// N replays
 // repeat (instance, config) requests from a bounded result cache with
 // "cached":true. SIGTERM (or an {"op":"drain"} request) drains
 // gracefully: queued jobs are rejected, in-flight jobs wind down to
@@ -62,7 +64,8 @@ extern "C" void onSignal(int) { g_drain.store(true, std::memory_order_relaxed); 
         "  --history N        recent results kept for \"status\" (default 32)\n"
         "  --mem-limit BYTES  admission + governor budget, k/m/g suffix ok (default off)\n"
         "  --socket PATH      serve a unix stream socket (concurrent clients)\n"
-        "  --pool             pre-forked worker pool instead of fork-per-job\n"
+        "  --pool             reuse each worker process for the next job\n"
+        "                     (default: a fresh worker process per job)\n"
         "  --cache N          result cache of N entries; repeats answer \"cached\":true\n"
         "  --per-client N     max queued+running jobs per client; 0 = unlimited\n"
         "  --state-dir DIR    durable state: write-ahead job journal + persisted\n"

@@ -461,18 +461,11 @@ EvaluationReport decodeEvaluationReport(robust::WireReader& in) {
     report.lanes.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         LaneRecord lane;
-        const std::uint8_t engine = in.u8();
-        if (engine >= kEngineCount)
-            throw Error(StatusCode::kParseError, "evaluation report: invalid engine");
-        lane.engine = static_cast<EngineKind>(engine);
-        const std::uint8_t outcome = in.u8();
-        if (outcome > static_cast<std::uint8_t>(LaneOutcome::kSkipped))
-            throw Error(StatusCode::kParseError, "evaluation report: invalid outcome");
-        lane.outcome = static_cast<LaneOutcome>(outcome);
-        const std::uint8_t code = in.u8();
-        if (code > static_cast<std::uint8_t>(robust::kMaxStatusCode))
-            throw Error(StatusCode::kParseError, "evaluation report: invalid status code");
-        lane.status.code = static_cast<StatusCode>(code);
+        lane.engine = in.enumU8(static_cast<EngineKind>(kEngineCount - 1),
+                                "evaluation report: invalid engine");
+        lane.outcome = in.enumU8(LaneOutcome::kSkipped, "evaluation report: invalid outcome");
+        lane.status.code =
+            in.enumU8(robust::kMaxStatusCode, "evaluation report: invalid status code");
         lane.status.message = in.str();
         lane.cut = in.i64();
         lane.maxBlockArea = in.i64();

@@ -1,11 +1,11 @@
 #include "robust/checkpoint.h"
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "robust/fault_injector.h"
 #include "robust/fs_shim.h"
@@ -22,103 +22,27 @@ namespace mlpart::robust {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4B434C4DU; // "MLCK" little-endian
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderSize = 24;       // magic+version+fingerprint+count+crc
-constexpr std::size_t kSectionHeaderSize = 16; // tag + len + crc
+constexpr std::uint32_t kMagic = 0x32434C4DU; // "MLC2" little-endian
+constexpr std::uint32_t kVersion = 2;
 
-// Section tags. Meta and records are mandatory; best is present only when
-// at least one persisted start succeeded; partial only when V-cycle
-// snapshots of in-flight runs exist (checkpointEveryCycle).
+// Frame tags. The header (version, fingerprint) comes first; meta and
+// records are mandatory; best is present only when at least one persisted
+// start succeeded; partial only when V-cycle snapshots of in-flight runs
+// exist (checkpointEveryCycle).
+constexpr std::uint32_t kTagHeader = 0;
 constexpr std::uint32_t kTagMeta = 1;
 constexpr std::uint32_t kTagRecords = 2;
 constexpr std::uint32_t kTagBest = 3;
 constexpr std::uint32_t kTagPartial = 4;
+constexpr const char* kTagNames[] = {"header", "meta", "records", "best", "partial"};
 
-// Any checkpoint bigger than this is hostile or damaged: even a 2^30
-// module partition blob stays under it, and the loader must never let a
-// forged length field drive a huge allocation.
+// Any checkpoint frame bigger than this is hostile or damaged: even a
+// 2^30 module partition blob stays under it, and the loader must never
+// let a forged length field drive a huge allocation.
 constexpr std::uint64_t kMaxCheckpointBytes = std::uint64_t{1} << 33;
 
 [[noreturn]] void corrupt(const std::string& message) {
     throw Error(StatusCode::kParseError, "checkpoint: " + message);
-}
-
-// ------------------------------------------------------------ byte codec
-
-struct ByteWriter {
-    std::vector<std::uint8_t> bytes;
-
-    void u8(std::uint8_t v) { bytes.push_back(v); }
-    void u32(std::uint32_t v) {
-        for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void u64(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void raw(const void* data, std::size_t n) {
-        const auto* p = static_cast<const std::uint8_t*>(data);
-        bytes.insert(bytes.end(), p, p + n);
-    }
-};
-
-struct ByteReader {
-    const std::uint8_t* data;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    [[nodiscard]] std::size_t remaining() const { return size - pos; }
-    void need(std::size_t n) const {
-        if (n > remaining()) corrupt("truncated (wanted " + std::to_string(n) + " more bytes, " +
-                                     std::to_string(remaining()) + " left)");
-    }
-    std::uint8_t u8() {
-        need(1);
-        return data[pos++];
-    }
-    std::uint32_t u32() {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-    std::uint64_t u64() {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    std::string str(std::size_t n) {
-        need(n);
-        std::string s(reinterpret_cast<const char*>(data + pos), n);
-        pos += n;
-        return s;
-    }
-};
-
-void appendSection(ByteWriter& out, std::uint32_t tag, const std::vector<std::uint8_t>& payload) {
-    out.u32(tag);
-    out.u64(payload.size());
-    out.u32(crc32(payload.data(), payload.size()));
-    out.raw(payload.data(), payload.size());
-}
-
-std::uint8_t encodeStartStatus(StartStatus s) { return static_cast<std::uint8_t>(s); }
-
-StartStatus decodeStartStatus(std::uint8_t v) {
-    if (v > static_cast<std::uint8_t>(StartStatus::kSkippedDeadline))
-        corrupt("invalid start status " + std::to_string(v));
-    return static_cast<StartStatus>(v);
-}
-
-StatusCode decodeStatusCode(std::uint8_t v) {
-    if (v > static_cast<std::uint8_t>(kMaxStatusCode))
-        corrupt("invalid status code " + std::to_string(v));
-    return static_cast<StatusCode>(v);
 }
 
 // ------------------------------------------------- platform file plumbing
@@ -135,22 +59,6 @@ void writeRawUnsafe(const std::string& path, const std::uint8_t* data, std::size
 
 // --------------------------------------------------------------- hashing
 
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t c = seed ^ 0xFFFFFFFFU;
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < size; ++i) c = table[(c ^ p[i]) & 0xFFU] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFU;
-}
-
 std::uint64_t hashCombine(std::uint64_t h, std::uint64_t v) {
     std::uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -161,137 +69,110 @@ std::uint64_t hashCombine(std::uint64_t h, std::uint64_t v) {
 // ----------------------------------------------------------- serializing
 
 std::vector<std::uint8_t> serializeCheckpoint(const CheckpointState& state) {
-    ByteWriter meta;
+    WireWriter header;
+    header.u32(kVersion);
+    header.u64(state.fingerprint);
+
+    WireWriter meta;
     meta.u64(state.seed);
     meta.i32(state.runs);
 
-    ByteWriter records;
+    WireWriter records;
     records.i32(static_cast<std::int32_t>(state.done.size()));
     for (const CheckpointStart& d : state.done) {
         records.i32(d.run);
-        records.u8(encodeStartStatus(d.record.status));
+        records.u8(static_cast<std::uint8_t>(d.record.status));
         records.i32(d.record.attempts);
         records.i64(d.record.cut);
         records.u8(static_cast<std::uint8_t>(d.record.error.code));
-        records.u32(static_cast<std::uint32_t>(d.record.error.message.size()));
-        records.raw(d.record.error.message.data(), d.record.error.message.size());
+        records.str(d.record.error.message);
     }
 
-    const bool hasBest = state.bestRun >= 0;
-    ByteWriter best;
-    if (hasBest) {
+    std::vector<std::uint8_t> out;
+    appendFrame(out, kMagic, kTagHeader, header.bytes);
+    appendFrame(out, kMagic, kTagMeta, meta.bytes);
+    appendFrame(out, kMagic, kTagRecords, records.bytes);
+    if (state.bestRun >= 0) {
+        WireWriter best;
         best.i32(state.bestRun);
         best.i64(state.bestCut);
-        best.u64(state.bestBlob.size());
-        best.raw(state.bestBlob.data(), state.bestBlob.size());
+        best.blob(state.bestBlob);
+        appendFrame(out, kMagic, kTagBest, best.bytes);
     }
-
-    const bool hasPartial = !state.partial.empty();
-    ByteWriter partial;
-    if (hasPartial) {
+    if (!state.partial.empty()) {
+        WireWriter partial;
         partial.i32(static_cast<std::int32_t>(state.partial.size()));
         for (const CheckpointPartial& p : state.partial) {
             partial.i32(p.run);
             partial.i32(p.attempt);
             partial.i32(p.cyclesDone);
             partial.i64(p.cut);
-            partial.u32(static_cast<std::uint32_t>(p.rngState.size()));
-            partial.raw(p.rngState.data(), p.rngState.size());
-            partial.u64(p.blob.size());
-            partial.raw(p.blob.data(), p.blob.size());
+            partial.str(p.rngState);
+            partial.blob(p.blob);
         }
+        appendFrame(out, kMagic, kTagPartial, partial.bytes);
     }
-
-    ByteWriter out;
-    out.u32(kMagic);
-    out.u32(kVersion);
-    out.u64(state.fingerprint);
-    out.u32(2u + (hasBest ? 1u : 0u) + (hasPartial ? 1u : 0u));
-    out.u32(crc32(out.bytes.data(), out.bytes.size()));
-    appendSection(out, kTagMeta, meta.bytes);
-    appendSection(out, kTagRecords, records.bytes);
-    if (hasBest) appendSection(out, kTagBest, best.bytes);
-    if (hasPartial) appendSection(out, kTagPartial, partial.bytes);
-    return std::move(out.bytes);
+    return out;
 }
 
 CheckpointState parseCheckpoint(const std::uint8_t* data, std::size_t size,
                                 std::uint64_t expectedFingerprint) {
-    ByteReader in{data, size};
-    if (size < kHeaderSize) corrupt("file too short for a header");
-    if (in.u32() != kMagic) corrupt("bad magic (not a checkpoint file)");
-    const std::uint32_t version = in.u32();
+    // A checkpoint is all or nothing: damage anywhere rejects the file.
+    const FrameScan scan = scanFrames(data, size, kMagic, kMaxCheckpointBytes);
+    if (scan.stop != FrameStop::kEnd) corrupt(scan.why);
+    if (scan.frames.empty() || scan.frames.front().tag != kTagHeader)
+        corrupt("missing header frame");
+
+    CheckpointState state;
+    WireReader header = scan.frames.front().reader();
+    const std::uint32_t version = header.u32();
     if (version != kVersion)
         corrupt("unsupported version " + std::to_string(version) + " (want " +
                 std::to_string(kVersion) + ")");
-    CheckpointState state;
-    state.fingerprint = in.u64();
-    const std::uint32_t sectionCount = in.u32();
-    const std::uint32_t headerCrc = in.u32();
-    if (headerCrc != crc32(data, kHeaderSize - 4)) corrupt("header CRC mismatch");
+    state.fingerprint = header.u64();
     if (expectedFingerprint != 0 && state.fingerprint != expectedFingerprint)
         corrupt("stale config fingerprint (checkpoint was written by a different "
                 "instance/configuration/seed)");
-    if (sectionCount < 2 || sectionCount > 4)
-        corrupt("invalid section count " + std::to_string(sectionCount));
 
-    bool sawMeta = false, sawRecords = false, sawBest = false, sawPartial = false;
-    for (std::uint32_t s = 0; s < sectionCount; ++s) {
-        in.need(kSectionHeaderSize);
-        const std::uint32_t tag = in.u32();
-        const std::uint64_t len = in.u64();
-        const std::uint32_t payloadCrc = in.u32();
-        if (len > in.remaining())
-            corrupt("section " + std::to_string(tag) + " truncated (declares " +
-                    std::to_string(len) + " bytes, " + std::to_string(in.remaining()) + " left)");
-        ByteReader payload{data + in.pos, static_cast<std::size_t>(len)};
-        if (payloadCrc != crc32(payload.data, payload.size))
-            corrupt("section " + std::to_string(tag) + " CRC mismatch (bit rot or torn write)");
-        in.pos += static_cast<std::size_t>(len);
+    bool sawTag[std::size(kTagNames)] = {true}; // the header frame
+    for (std::size_t f = 1; f < scan.frames.size(); ++f) {
+        const std::uint32_t tag = scan.frames[f].tag;
+        if (tag >= std::size(kTagNames)) corrupt("unknown frame tag " + std::to_string(tag));
+        if (sawTag[tag]) corrupt(std::string("duplicate ") + kTagNames[tag] + " frame");
+        sawTag[tag] = true;
+        WireReader payload = scan.frames[f].reader();
 
         if (tag == kTagMeta) {
-            if (sawMeta) corrupt("duplicate meta section");
-            sawMeta = true;
             state.seed = payload.u64();
             state.runs = payload.i32();
             if (state.runs < 1) corrupt("nonsensical run count " + std::to_string(state.runs));
         } else if (tag == kTagRecords) {
-            if (sawRecords) corrupt("duplicate records section");
-            sawRecords = true;
             const std::int32_t count = payload.i32();
-            if (count < 0 || static_cast<std::uint64_t>(count) > len)
+            if (count < 0 || static_cast<std::size_t>(count) > payload.size)
                 corrupt("nonsensical record count " + std::to_string(count));
             state.done.reserve(static_cast<std::size_t>(count));
             for (std::int32_t i = 0; i < count; ++i) {
                 CheckpointStart d;
                 d.run = payload.i32();
-                d.record.status = decodeStartStatus(payload.u8());
+                d.record.status =
+                    payload.enumU8(StartStatus::kSkippedDeadline, "checkpoint: invalid start status");
                 d.record.attempts = payload.i32();
                 d.record.cut = payload.i64();
-                d.record.error.code = decodeStatusCode(payload.u8());
-                const std::uint32_t msgLen = payload.u32();
-                d.record.error.message = payload.str(msgLen);
+                d.record.error.code =
+                    payload.enumU8(kMaxStatusCode, "checkpoint: invalid status code");
+                d.record.error.message = payload.str();
                 if (d.record.status == StartStatus::kSkippedDeadline)
                     corrupt("persisted record for a start that never ran");
                 if (d.record.attempts < 1) corrupt("persisted record with no attempts");
                 state.done.push_back(std::move(d));
             }
-            if (payload.remaining() != 0) corrupt("trailing bytes in records section");
         } else if (tag == kTagBest) {
-            if (sawBest) corrupt("duplicate best section");
-            sawBest = true;
             state.bestRun = payload.i32();
             state.bestCut = payload.i64();
-            const std::uint64_t blobLen = payload.u64();
-            if (blobLen != payload.remaining())
-                corrupt("best-partition blob length mismatch");
-            state.bestBlob.assign(payload.data + payload.pos,
-                                  payload.data + payload.pos + blobLen);
+            state.bestBlob = payload.blob();
         } else if (tag == kTagPartial) {
-            if (sawPartial) corrupt("duplicate partial section");
-            sawPartial = true;
             const std::int32_t count = payload.i32();
-            if (count < 1 || static_cast<std::uint64_t>(count) > len)
+            if (count < 1 || static_cast<std::size_t>(count) > payload.size)
                 corrupt("nonsensical partial count " + std::to_string(count));
             state.partial.reserve(static_cast<std::size_t>(count));
             for (std::int32_t i = 0; i < count; ++i) {
@@ -300,14 +181,8 @@ CheckpointState parseCheckpoint(const std::uint8_t* data, std::size_t size,
                 p.attempt = payload.i32();
                 p.cyclesDone = payload.i32();
                 p.cut = payload.i64();
-                const std::uint32_t rngLen = payload.u32();
-                p.rngState = payload.str(rngLen);
-                const std::uint64_t blobLen = payload.u64();
-                if (blobLen > payload.remaining())
-                    corrupt("partial-partition blob length mismatch");
-                p.blob.assign(payload.data + payload.pos,
-                              payload.data + payload.pos + blobLen);
-                payload.pos += static_cast<std::size_t>(blobLen);
+                p.rngState = payload.str();
+                p.blob = payload.blob();
                 if (p.attempt < 0) corrupt("partial with negative attempt");
                 // A snapshot is only taken after a cycle completes, so a
                 // persisted partial with no finished cycle is a lie.
@@ -316,13 +191,11 @@ CheckpointState parseCheckpoint(const std::uint8_t* data, std::size_t size,
                 if (p.blob.empty()) corrupt("partial with empty partition blob");
                 state.partial.push_back(std::move(p));
             }
-            if (payload.remaining() != 0) corrupt("trailing bytes in partial section");
-        } else {
-            corrupt("unknown section tag " + std::to_string(tag));
         }
+        if (payload.remaining() != 0)
+            corrupt(std::string("trailing bytes in ") + kTagNames[tag] + " frame");
     }
-    if (in.remaining() != 0) corrupt("trailing bytes after final section");
-    if (!sawMeta || !sawRecords) corrupt("missing mandatory section");
+    if (!sawTag[kTagMeta] || !sawTag[kTagRecords]) corrupt("missing mandatory frame");
 
     // Cross-field validation: record indices must be unique and in range;
     // the best pointer must agree with a persisted successful record.
@@ -333,7 +206,7 @@ CheckpointState parseCheckpoint(const std::uint8_t* data, std::size_t size,
         if (seen[static_cast<std::size_t>(d.run)]++)
             corrupt("duplicate record for run " + std::to_string(d.run));
     }
-    if (sawBest) {
+    if (sawTag[kTagBest]) {
         if (state.bestRun < 0 || state.bestRun >= state.runs)
             corrupt("best run index out of range");
         bool matched = false;
@@ -347,7 +220,7 @@ CheckpointState parseCheckpoint(const std::uint8_t* data, std::size_t size,
             }
         if (!matched) corrupt("best run has no persisted record");
     }
-    if (sawPartial) {
+    if (sawTag[kTagPartial]) {
         std::vector<char> partialSeen(static_cast<std::size_t>(state.runs), 0);
         for (const CheckpointPartial& p : state.partial) {
             if (p.run < 0 || p.run >= state.runs)
@@ -403,8 +276,6 @@ CheckpointState loadCheckpoint(const std::string& path, std::uint64_t expectedFi
     // write leaves behind on non-atomic writers; name it precisely instead
     // of reporting a generic short header.
     if (bytes.empty()) corrupt("empty checkpoint file (zero bytes): " + path);
-    if (bytes.size() > kMaxCheckpointBytes)
-        corrupt(path + " is implausibly large for a checkpoint");
     return parseCheckpoint(bytes.data(), bytes.size(), expectedFingerprint);
 }
 

@@ -10,20 +10,18 @@
 // and re-running the rest reconstructs exactly the state the interrupted
 // process would have reached.
 //
-// Format (version 1, little-endian; DESIGN.md §10 has the full layout):
-//
-//   header   magic 'MLCK' u32 | version u32 | fingerprint u64 |
-//            sectionCount u32 | crc32(header bytes so far) u32
-//   section  tag u32 | payloadLen u64 | crc32(payload) u32 | payload
-//
-// Every section is independently CRC32-framed, so truncation, bit rot,
-// and torn writes are all detected before any payload is trusted; the
-// loader throws Error(kParseError) and the caller falls back to a fresh
-// start. Writes are crash-consistent: serialize fully, write to
-// `path.tmp`, fsync, atomically rename over `path`, fsync the directory —
-// a crash at any instant leaves either the previous checkpoint or the new
-// one, never a mix (the "checkpoint.torn" fault-injection site exists
-// precisely to manufacture the torn files this scheme rules out).
+// Format (version 2, DESIGN.md §10): a sequence of robust/wire.h frames
+// under magic 'MLC2' — a header frame (version, fingerprint), then meta,
+// records, and the optional best and partial frames. The file must scan
+// to its last byte, so truncation, bit rot, and torn writes are all
+// detected before any payload is trusted; the loader throws
+// Error(kParseError) and the caller falls back to a fresh start; a
+// version-1 ('MLCK') file is foreign and takes the same path. Writes are
+// crash-consistent: serialize fully, write to `path.tmp`, fsync,
+// atomically rename over `path`, fsync the directory — a crash at any
+// instant leaves either the previous checkpoint or the new one, never a
+// mix (the "checkpoint.torn" fault-injection site exists precisely to
+// manufacture the torn files this scheme rules out).
 //
 // This layer stores the best partition as an opaque byte blob: encoding a
 // Partition against its Hypergraph lives in hypergraph/io.h, keeping
@@ -36,13 +34,9 @@
 
 #include "robust/run_report.h"
 #include "robust/status.h"
+#include "robust/wire.h" // crc32
 
 namespace mlpart::robust {
-
-/// Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected).
-/// `seed` chains incremental computations: pass a previous result to
-/// continue it over another buffer.
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
 /// Combines two 64-bit hashes (splitmix-style avalanche); used to build
 /// the config fingerprint from instance/config/seed components.
@@ -81,14 +75,13 @@ struct CheckpointState {
     std::int64_t bestCut = 0;
     std::vector<std::uint8_t> bestBlob; ///< encoded best partition (io.h codec)
     /// V-cycle-boundary snapshots of runs still in flight (one per run at
-    /// most, never for a run in `done`). Optional section; absent in
-    /// checkpoints written without per-cycle granularity, so every
-    /// pre-existing checkpoint file still parses.
+    /// most, never for a run in `done`). Optional frame; absent in
+    /// checkpoints written without per-cycle granularity.
     std::vector<CheckpointPartial> partial;
 };
 
-/// Serializes `state` to the version-1 byte layout (no file involved);
-/// exposed so tests and the corpus generator can corrupt it surgically.
+/// Serializes `state` to the version-2 frame sequence (no file involved);
+/// exposed so tests can corrupt it surgically.
 [[nodiscard]] std::vector<std::uint8_t> serializeCheckpoint(const CheckpointState& state);
 
 /// Parses bytes produced by serializeCheckpoint. Throws Error(kParseError)

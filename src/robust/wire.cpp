@@ -1,9 +1,8 @@
 #include "robust/wire.h"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
-
-#include "robust/checkpoint.h" // crc32
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -17,7 +16,7 @@ namespace mlpart::robust {
 
 namespace {
 
-constexpr std::uint32_t kFrameMagic = 0x46574C4DU; // "MLWF" little-endian
+constexpr std::uint32_t kPipeMagic = 0x32574C4DU; // "MLW2" little-endian
 
 // A frame bigger than this is hostile or damaged — result payloads are a
 // few hundred bytes; even one carrying a full partition blob stays far
@@ -77,6 +76,18 @@ std::string WireReader::str() {
     std::string s(reinterpret_cast<const char*>(data + pos), n);
     pos += n;
     return s;
+}
+
+std::vector<std::uint8_t> WireReader::blob() {
+    const std::uint64_t n = u64();
+    need(n);
+    std::vector<std::uint8_t> b(data + pos, data + pos + n);
+    pos += static_cast<std::size_t>(n);
+    return b;
+}
+
+void WireReader::badEnum(const char* what, std::uint8_t v) {
+    throw Error(StatusCode::kParseError, std::string(what) + " " + std::to_string(v));
 }
 
 // ----------------------------------------------------- EINTR-safe syscalls
@@ -161,41 +172,126 @@ std::vector<std::uint8_t> readFileBytes(const std::string& path) {
 
 // --------------------------------------------------------------- framing
 
+std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
+    static const auto table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    std::uint32_t c = seed ^ 0xFFFFFFFFU;
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < size; ++i) c = table[(c ^ p[i]) & 0xFFU] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFU;
+}
+
+namespace {
+
+void storeLe(std::uint8_t* p, std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// The CRC covers tag, len and payload: everything after the magic.
+std::uint32_t frameCrc(const std::uint8_t* header, const std::uint8_t* payload,
+                       std::size_t size) {
+    return crc32(payload, size, crc32(header + 4, kFrameHeaderBytes - 8));
+}
+
+// Checks the frame starting at `p` with `left` bytes available. Fills
+// `frame` and returns kEnd when it is valid; otherwise names the damage.
+FrameStop checkFrame(const std::uint8_t* p, std::size_t left, std::uint32_t magic,
+                     std::uint64_t maxPayload, Frame& frame, std::string& why) {
+    // The magic goes first so that even a short foreign file is named as
+    // foreign rather than as torn.
+    if (left >= 4 && WireReader{p, 4}.u32() != magic) {
+        why = "bad magic (foreign or older-format data)";
+        return FrameStop::kBadMagic;
+    }
+    if (left < kFrameHeaderBytes) {
+        why = "frame header truncated (" + std::to_string(left) + " of " +
+              std::to_string(kFrameHeaderBytes) + " bytes)";
+        return FrameStop::kTruncated;
+    }
+    WireReader header{p, kFrameHeaderBytes, 4};
+    frame.tag = header.u32();
+    const std::uint64_t len = header.u64();
+    const std::uint32_t crc = header.u32();
+    if (len > maxPayload) {
+        why = "implausible frame length " + std::to_string(len) + " (cap " +
+              std::to_string(maxPayload) + ")";
+        return FrameStop::kOverCap;
+    }
+    if (len > left - kFrameHeaderBytes) {
+        why = "frame truncated (torn write: declares " + std::to_string(len) +
+              " payload bytes, " + std::to_string(left - kFrameHeaderBytes) + " present)";
+        return FrameStop::kTruncated;
+    }
+    frame.payload = p + kFrameHeaderBytes;
+    frame.size = static_cast<std::size_t>(len);
+    if (frameCrc(p, frame.payload, frame.size) != crc) {
+        why = "CRC mismatch (bit rot or torn write)";
+        return FrameStop::kCrcMismatch;
+    }
+    return FrameStop::kEnd;
+}
+
+} // namespace
+
+void appendFrame(std::vector<std::uint8_t>& out, std::uint32_t magic, std::uint32_t tag,
+                 const std::uint8_t* payload, std::size_t size) {
+    const std::size_t at = out.size();
+    out.resize(at + kFrameHeaderBytes);
+    std::uint8_t* header = out.data() + at;
+    storeLe(header, magic, 4);
+    storeLe(header + 4, tag, 4);
+    storeLe(header + 8, size, 8);
+    storeLe(header + 16, frameCrc(header, payload, size), 4);
+    out.insert(out.end(), payload, payload + size);
+}
+
+FrameScan scanFrames(const std::uint8_t* data, std::size_t size, std::uint32_t magic,
+                     std::uint64_t maxPayload) {
+    FrameScan scan;
+    while (scan.validBytes < size) {
+        Frame f;
+        scan.stop = checkFrame(data + scan.validBytes, size - scan.validBytes, magic,
+                               maxPayload, f, scan.why);
+        if (scan.stop != FrameStop::kEnd) {
+            scan.why += " at byte " + std::to_string(scan.validBytes);
+            break;
+        }
+        scan.frames.push_back(f);
+        scan.validBytes = static_cast<std::size_t>(f.end() - data);
+    }
+    return scan;
+}
+
+// ------------------------------------------------------------ worker pipes
+
 std::vector<std::uint8_t> buildFrame(const std::vector<std::uint8_t>& payload) {
-    WireWriter out;
-    out.bytes.reserve(kFrameHeaderBytes + payload.size());
-    out.u32(kFrameMagic);
-    out.u64(payload.size());
-    out.u32(crc32(payload.data(), payload.size()));
-    out.bytes.insert(out.bytes.end(), payload.begin(), payload.end());
-    return std::move(out.bytes);
+    std::vector<std::uint8_t> out;
+    appendFrame(out, kPipeMagic, 0, payload);
+    return out;
 }
 
 std::uint64_t framePayloadLength(const std::uint8_t* header, std::uint64_t maxPayload) {
-    WireReader in{header, kFrameHeaderBytes};
-    if (in.u32() != kFrameMagic) frameError("bad frame magic");
-    const std::uint64_t len = in.u64();
-    if (len > maxPayload)
-        frameError("implausible frame length " + std::to_string(len) + " (cap " +
-                   std::to_string(maxPayload) + ")");
-    return len;
+    const FrameScan scan = scanFrames(header, kFrameHeaderBytes, kPipeMagic, maxPayload);
+    if (scan.stop == FrameStop::kBadMagic || scan.stop == FrameStop::kOverCap)
+        frameError(scan.why);
+    return WireReader{header, kFrameHeaderBytes, 8}.u64();
 }
 
 std::vector<std::uint8_t> parseFrame(const std::uint8_t* data, std::size_t size) {
     if (size == 0) frameError("empty frame (worker wrote nothing)");
-    if (size < kFrameHeaderBytes)
-        frameError("frame header truncated (" + std::to_string(size) + " bytes)");
-    const std::uint64_t len = framePayloadLength(data, kMaxFrameBytes);
-    WireReader in{data, size, kFrameHeaderBytes - 4}; // at the crc, after magic + length
-    const std::uint32_t crc = in.u32();
-    if (len > in.remaining())
-        frameError("frame truncated (torn write: declares " + std::to_string(len) +
-                   " payload bytes, " + std::to_string(in.remaining()) + " present)");
-    if (len < in.remaining())
+    const FrameScan scan = scanFrames(data, size, kPipeMagic, kMaxFrameBytes);
+    if (scan.frames.empty()) frameError(scan.why);
+    if (scan.validBytes != size || scan.frames.size() != 1)
         frameError("trailing bytes after frame payload");
-    if (crc != crc32(data + in.pos, static_cast<std::size_t>(len)))
-        frameError("frame CRC mismatch (torn or corrupted write)");
-    return std::vector<std::uint8_t>(data + in.pos, data + in.pos + len);
+    const Frame& f = scan.frames.front();
+    return std::vector<std::uint8_t>(f.payload, f.end());
 }
 
 } // namespace mlpart::robust

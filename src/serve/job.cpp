@@ -129,11 +129,7 @@ JobOutcome decodeJobOutcome(const std::uint8_t* data, std::size_t size) {
         throw Error(StatusCode::kParseError,
                     "job outcome: unsupported version " + std::to_string(version));
     JobOutcome o;
-    const std::uint8_t code = in.u8();
-    if (code > static_cast<std::uint8_t>(robust::kMaxStatusCode))
-        throw Error(StatusCode::kParseError,
-                    "job outcome: invalid status code " + std::to_string(code));
-    o.status.code = static_cast<StatusCode>(code);
+    o.status.code = in.enumU8(robust::kMaxStatusCode, "job outcome: invalid status code");
     o.status.message = in.str();
     o.cut = in.i64();
     o.runsOk = in.i32();

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <utility>
 
-#include "robust/checkpoint.h" // crc32
 #include "robust/fs_shim.h"
 #include "robust/wire.h"
 
@@ -21,33 +20,16 @@ using robust::Error;
 using robust::Status;
 using robust::StatusCode;
 
-constexpr std::uint32_t kRecordMagic = 0x524A4C4DU; // "MLJR" little-endian
-constexpr std::size_t kRecordHeaderBytes = 13;      // magic + type + len + crc
+constexpr std::uint32_t kRecordMagic = 0x324A4C4DU; // "MLJ2" little-endian
 // A record is one request (inline .hgr included) or one result; anything
 // past this is a forged length field, not a job.
-constexpr std::uint32_t kMaxRecordBytes = 1u << 28;
+constexpr std::uint64_t kMaxRecordBytes = 1u << 28;
 
-constexpr std::uint8_t kAdmit = 1;
-constexpr std::uint8_t kStart = 2;
-constexpr std::uint8_t kDone = 3;
-constexpr std::uint8_t kDrop = 4;
-
-std::uint32_t readU32(const std::uint8_t* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::vector<std::uint8_t> buildRecord(std::uint8_t type,
-                                      const std::vector<std::uint8_t>& payload) {
-    robust::WireWriter w;
-    w.u32(kRecordMagic);
-    w.u8(type);
-    w.u32(static_cast<std::uint32_t>(payload.size()));
-    w.u32(robust::crc32(payload.data(), payload.size()));
-    w.bytes.insert(w.bytes.end(), payload.begin(), payload.end());
-    return std::move(w.bytes);
-}
+// Frame tags: the record type.
+constexpr std::uint32_t kAdmit = 1;
+constexpr std::uint32_t kStart = 2;
+constexpr std::uint32_t kDone = 3;
+constexpr std::uint32_t kDrop = 4;
 
 std::vector<std::uint8_t> admitPayload(std::uint64_t seq, const JobRequest& req) {
     robust::WireWriter w;
@@ -73,9 +55,7 @@ std::vector<std::uint8_t> donePayload(std::uint64_t seq, const JobResult& r) {
     w.u8(r.retried ? 1 : 0);
     w.u8(r.cached ? 1 : 0);
     w.f64(r.queueSeconds);
-    const std::vector<std::uint8_t> outcome = encodeJobOutcome(r.outcome);
-    w.u64(outcome.size());
-    w.bytes.insert(w.bytes.end(), outcome.begin(), outcome.end());
+    w.blob(encodeJobOutcome(r.outcome));
     return std::move(w.bytes);
 }
 
@@ -90,11 +70,9 @@ JobResult parseDonePayload(robust::WireReader& r) {
     out.retried = r.u8() != 0;
     out.cached = r.u8() != 0;
     out.queueSeconds = r.f64();
-    const std::uint64_t outcomeLen = r.u64();
-    if (outcomeLen != r.remaining())
-        throw Error(StatusCode::kParseError, "journal: outcome length lies");
-    out.outcome = decodeJobOutcome(r.data + r.pos, static_cast<std::size_t>(outcomeLen));
-    r.pos += static_cast<std::size_t>(outcomeLen);
+    const std::vector<std::uint8_t> outcome = r.blob();
+    if (r.remaining() != 0) throw Error(StatusCode::kParseError, "journal: outcome length lies");
+    out.outcome = decodeJobOutcome(outcome.data(), outcome.size());
     return out;
 }
 
@@ -150,43 +128,36 @@ Journal::Recovery Journal::recover() {
         return out;
     }
 
-    // Forward scan: every record must be structurally whole (magic, sane
-    // length, payload CRC) *and* semantically consistent (Start/Done/Drop
-    // must name an admitted seq). The first violation truncates the file
-    // at the last good boundary — a torn tail from a crash mid-append is
-    // the common case, and recovery must never be the thing that crashes.
-    std::size_t pos = 0;
+    // Forward scan: every frame must be structurally whole (the shared
+    // scanner) *and* semantically consistent (a known type; Start/Done/
+    // Drop must name an admitted seq; an Admit must decode). The first
+    // violation truncates the file after the last good frame — a torn
+    // tail from a crash mid-append is the common case, and recovery must
+    // never be the thing that crashes.
+    const robust::FrameScan scan =
+        robust::scanFrames(bytes.data(), bytes.size(), kRecordMagic, kMaxRecordBytes);
     std::size_t lastGood = 0;
-    while (bytes.size() - pos >= kRecordHeaderBytes) {
-        const std::uint8_t* p = bytes.data() + pos;
-        if (readU32(p) != kRecordMagic) break;
-        const std::uint8_t type = p[4];
-        const std::uint32_t len = readU32(p + 5);
-        const std::uint32_t crc = readU32(p + 9);
-        if (type < kAdmit || type > kDrop) break;
-        if (len > kMaxRecordBytes) break;
-        if (static_cast<std::size_t>(len) > bytes.size() - pos - kRecordHeaderBytes) break;
-        const std::uint8_t* payload = p + kRecordHeaderBytes;
-        if (robust::crc32(payload, len) != crc) break;
-        bool ok = true;
+    for (const robust::Frame& f : scan.frames) {
         try {
-            robust::WireReader r{payload, len, 0};
+            if (f.tag < kAdmit || f.tag > kDrop)
+                throw Error(StatusCode::kParseError, "unknown record type");
+            robust::WireReader r = f.reader();
             const std::uint64_t seq = r.u64();
             if (seq > out.maxSeq) out.maxSeq = seq;
-            if (type == kAdmit) {
+            if (f.tag == kAdmit) {
                 std::int32_t attempt = 0;
-                (void)decodeJobRequest(payload + r.pos, len - r.pos, attempt);
+                (void)decodeJobRequest(f.payload + r.pos, r.remaining(), attempt);
                 // Dedupe by seq: recovery re-journals pending jobs under
                 // their original seq, so a crash in that window leaves
                 // two identical Admit records, not two executions.
                 Outstanding& o = live_[seq];
-                o.admitPayload.assign(payload, payload + len);
+                o.admitPayload.assign(f.payload, f.end());
                 o.started = false;
-            } else if (type == kStart) {
+            } else if (f.tag == kStart) {
                 const auto it = live_.find(seq);
                 if (it == live_.end()) throw Error(StatusCode::kParseError, "orphan Start");
                 it->second.started = true;
-            } else if (type == kDone) {
+            } else if (f.tag == kDone) {
                 if (live_.find(seq) == live_.end())
                     throw Error(StatusCode::kParseError, "orphan Done");
                 out.completed.push_back(parseDonePayload(r));
@@ -197,11 +168,9 @@ Journal::Recovery Journal::recover() {
                 live_.erase(seq);
             }
         } catch (const Error&) {
-            ok = false;
+            break;
         }
-        if (!ok) break;
-        pos += kRecordHeaderBytes + len;
-        lastGood = pos;
+        lastGood = static_cast<std::size_t>(f.end() - bytes.data());
     }
     out.truncatedBytes = static_cast<std::int64_t>(bytes.size() - lastGood);
     if (out.truncatedBytes > 0 && ::ftruncate(fd_, static_cast<off_t>(lastGood)) != 0)
@@ -220,13 +189,14 @@ Journal::Recovery Journal::recover() {
     return out;
 }
 
-Status Journal::appendLocked(std::uint8_t type, const std::vector<std::uint8_t>& payload) {
+Status Journal::appendLocked(std::uint32_t type, const std::vector<std::uint8_t>& payload) {
     if (degraded_) return Status::okStatus(); // non-durable mode: no-op
     if (fd_ < 0) {
         degraded_ = true;
         return Status::error(StatusCode::kInternal, "journal: no open file descriptor");
     }
-    const std::vector<std::uint8_t> record = buildRecord(type, payload);
+    std::vector<std::uint8_t> record;
+    robust::appendFrame(record, kRecordMagic, type, payload);
     const Status st = robust::appendAndSync(fd_, record.data(), record.size(), "journal");
     if (!st.ok()) degraded_ = true; // a torn tail may be on disk; recovery truncates it
     return st;
@@ -287,12 +257,8 @@ Status Journal::compact() {
 Status Journal::compactLocked() {
     std::vector<std::uint8_t> bytes;
     for (const auto& [seq, o] : live_) {
-        const std::vector<std::uint8_t> admit = buildRecord(kAdmit, o.admitPayload);
-        bytes.insert(bytes.end(), admit.begin(), admit.end());
-        if (o.started) {
-            const std::vector<std::uint8_t> start = buildRecord(kStart, seqPayload(seq));
-            bytes.insert(bytes.end(), start.begin(), start.end());
-        }
+        robust::appendFrame(bytes, kRecordMagic, kAdmit, o.admitPayload);
+        if (o.started) robust::appendFrame(bytes, kRecordMagic, kStart, seqPayload(seq));
     }
     // An atomic-rename failure leaves the previous (longer but valid)
     // journal in place: compaction is an optimisation, never a risk.

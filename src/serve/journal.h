@@ -8,9 +8,8 @@
 // *re-enqueued* with their original priority and seq, and the
 // deterministic engine then reproduces their results bit-identically.
 //
-// Record layout (little-endian, append-only `journal.wal`):
-//
-//   magic 'MLJR' u32 | type u8 | payloadLen u32 | crc32(payload) u32 | payload
+// `journal.wal` is an append-only sequence of robust/wire.h frames under
+// magic 'MLJ2', one per record, tagged with the record type:
 //
 //   kAdmit  seq u64 | encodeJobRequest(req, 0) bytes
 //   kStart  seq u64
@@ -20,12 +19,13 @@
 //                       response (shed / cancelled / drained / orphaned);
 //                       nothing to replay.
 //
-// The scanner never throws on damaged bytes: a torn tail — exactly what a
-// crash mid-append leaves — is truncated at the last valid record
-// boundary and the journal continues from there. Admit records are
-// deduplicated by seq (recovery re-journals pending jobs under their
-// original seq before compacting, so a second crash in that window cannot
-// double-execute anything).
+// Recovery never throws on damaged bytes: a torn tail — exactly what a
+// crash mid-append leaves — or a record that fails the semantic checks
+// is truncated after the last good frame and the journal continues from
+// there; a pre-'MLJ2' journal is foreign and recovers empty. Admit
+// records are deduplicated by seq (recovery re-journals pending jobs
+// under their original seq before compacting, so a second crash in that
+// window cannot double-execute anything).
 //
 // Compaction rewrites the file with only the still-outstanding records —
 // at recovery (after the service has re-admitted the survivors) and at
@@ -108,7 +108,7 @@ private:
         bool started = false;
     };
 
-    [[nodiscard]] robust::Status appendLocked(std::uint8_t type,
+    [[nodiscard]] robust::Status appendLocked(std::uint32_t type,
                                               const std::vector<std::uint8_t>& payload);
     [[nodiscard]] robust::Status compactLocked();
     void reopenLocked();

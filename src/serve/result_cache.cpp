@@ -1,6 +1,7 @@
 #include "serve/result_cache.h"
 
-#include "robust/checkpoint.h" // crc32
+#include <algorithm>
+
 #include "robust/fs_shim.h"
 #include "robust/wire.h"
 
@@ -8,15 +9,20 @@ namespace mlpart::serve {
 
 namespace {
 
-// Persisted snapshot layout (little-endian `cache.bin`):
-//   header  magic 'MLRC' u32 | version u32 | count u32 | crc32(header) u32
-//   entry   fingerprint u64 | payloadLen u64 | crc32(payload) u32 |
-//           encodeJobOutcome payload
-constexpr std::uint32_t kCacheMagic = 0x43524C4DU; // "MLRC"
-constexpr std::uint32_t kCacheVersion = 1;
-constexpr std::size_t kCacheHeaderBytes = 16;
-constexpr std::size_t kEntryHeaderBytes = 20;
+// Persisted snapshot (`cache.bin`): robust/wire.h frames under magic
+// 'MLR2' — a header frame carrying the version, then one entry frame of
+// `fingerprint u64 | encodeJobOutcome bytes` per entry, oldest first.
+constexpr std::uint32_t kCacheMagic = 0x32524C4DU; // "MLR2"
+constexpr std::uint32_t kCacheVersion = 2;
+constexpr std::uint32_t kTagHeader = 0;
+constexpr std::uint32_t kTagEntry = 1;
 constexpr std::uint64_t kMaxEntryBytes = std::uint64_t{1} << 28;
+
+std::vector<std::uint8_t> headerPayload() {
+    robust::WireWriter w;
+    w.u32(kCacheVersion);
+    return std::move(w.bytes);
+}
 
 /// A persisted outcome must be something the live insert path could have
 /// produced: a clean OK result with a real partition. Anything else is a
@@ -81,24 +87,21 @@ ResultCache::Stats ResultCache::stats() const {
 }
 
 robust::Status ResultCache::saveToFile(const std::string& path) const {
-    robust::WireWriter out;
+    std::vector<std::uint8_t> out;
+    robust::appendFrame(out, kCacheMagic, kTagHeader, headerPayload());
     {
         std::lock_guard<std::mutex> lock(mu_);
-        out.u32(kCacheMagic);
-        out.u32(kCacheVersion);
-        out.u32(static_cast<std::uint32_t>(index_.size()));
-        out.u32(robust::crc32(out.bytes.data(), out.bytes.size()));
         // Oldest first so reloading re-inserts in LRU order and the most
         // recent entries end up at the front again.
         for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-            const std::vector<std::uint8_t> payload = encodeJobOutcome(it->outcome);
-            out.u64(it->fingerprint);
-            out.u64(payload.size());
-            out.u32(robust::crc32(payload.data(), payload.size()));
-            out.bytes.insert(out.bytes.end(), payload.begin(), payload.end());
+            robust::WireWriter entry;
+            entry.u64(it->fingerprint);
+            const std::vector<std::uint8_t> outcome = encodeJobOutcome(it->outcome);
+            entry.bytes.insert(entry.bytes.end(), outcome.begin(), outcome.end());
+            robust::appendFrame(out, kCacheMagic, kTagEntry, entry.bytes);
         }
     }
-    return robust::atomicWriteFile(path, out.bytes, "result-cache");
+    return robust::atomicWriteFile(path, out, "result-cache");
 }
 
 int ResultCache::loadFromFile(const std::string& path) {
@@ -109,65 +112,44 @@ int ResultCache::loadFromFile(const std::string& path) {
     } catch (const robust::Error&) {
         return 0; // missing or unreadable snapshot: cold cache, not an error
     }
-    // Structural validation: a damaged header drops the whole file — there
-    // is no way to trust any entry boundary past it.
-    if (bytes.size() < kCacheHeaderBytes) return 0;
-    const std::uint8_t* p = bytes.data();
-    const auto u32At = [&](std::size_t off) {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[off + i]) << (8 * i);
-        return v;
-    };
-    if (u32At(0) != kCacheMagic || u32At(4) != kCacheVersion) return 0;
-    const std::uint32_t count = u32At(8);
-    if (u32At(12) != robust::crc32(p, kCacheHeaderBytes - 4)) return 0;
+    // A foreign, older-format or damaged header drops the whole file.
+    const robust::FrameScan scan =
+        robust::scanFrames(bytes.data(), bytes.size(), kCacheMagic, kMaxEntryBytes);
+    const std::vector<std::uint8_t> header = headerPayload();
+    if (scan.frames.empty() || scan.frames.front().tag != kTagHeader ||
+        !std::equal(scan.frames.front().payload, scan.frames.front().end(), header.begin(),
+                    header.end()))
+        return 0;
 
+    // Entries load up to the first damaged frame: past a CRC failure no
+    // length field can be trusted. That frame, had it been whole, was an
+    // entry; a torn or forged-length tail was not.
     int loaded = 0;
-    robust::WireReader in{p, bytes.size(), kCacheHeaderBytes};
-    for (std::uint32_t i = 0; i < count; ++i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (scan.stop == robust::FrameStop::kCrcMismatch) ++stats_.loadRejected;
+    for (std::size_t i = 1; i < scan.frames.size(); ++i) {
+        const robust::Frame& f = scan.frames[i];
         std::uint64_t fingerprint = 0;
-        std::uint64_t len = 0;
-        std::uint32_t crc = 0;
-        try {
-            fingerprint = in.u64();
-            len = in.u64();
-            crc = in.u32();
-        } catch (const robust::Error&) {
-            break; // truncated tail: keep what already loaded
-        }
-        if (len > kMaxEntryBytes || len > in.remaining()) break;
-        const std::uint8_t* payload = in.data + in.pos;
-        in.pos += static_cast<std::size_t>(len);
-        if (robust::crc32(payload, static_cast<std::size_t>(len)) != crc) {
-            // Bit rot confined to one entry: skip it, the framing is intact.
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.loadRejected;
-            continue;
-        }
         JobOutcome outcome;
         try {
-            outcome = decodeJobOutcome(payload, static_cast<std::size_t>(len));
+            robust::WireReader in = f.reader();
+            fingerprint = in.u64();
+            outcome = decodeJobOutcome(f.payload + in.pos, in.remaining());
         } catch (const robust::Error&) {
-            std::lock_guard<std::mutex> lock(mu_);
             ++stats_.loadRejected;
             continue;
         }
-        if (fingerprint == 0 || !plausibleOutcome(outcome)) {
-            std::lock_guard<std::mutex> lock(mu_);
+        if (f.tag != kTagEntry || fingerprint == 0 || !plausibleOutcome(outcome)) {
             ++stats_.loadRejected;
             continue;
         }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            const auto it = index_.find(fingerprint);
-            if (it != index_.end()) continue; // live entry wins over disk
-            lru_.push_front(Entry{fingerprint, outcome, /*fromDisk=*/true});
-            index_[fingerprint] = lru_.begin();
-            ++loaded;
-            while (index_.size() > static_cast<std::size_t>(maxEntries_)) {
-                index_.erase(lru_.back().fingerprint);
-                lru_.pop_back();
-            }
+        if (index_.find(fingerprint) != index_.end()) continue; // live entry wins over disk
+        lru_.push_front(Entry{fingerprint, outcome, /*fromDisk=*/true});
+        index_[fingerprint] = lru_.begin();
+        ++loaded;
+        while (index_.size() > static_cast<std::size_t>(maxEntries_)) {
+            index_.erase(lru_.back().fingerprint);
+            lru_.pop_back();
         }
     }
     return loaded;

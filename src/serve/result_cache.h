@@ -15,12 +15,14 @@
 //
 // Persistence (--state-dir, DESIGN.md §16): the cache can snapshot itself
 // to `cache.bin` and reload after a restart, so repeat requests across
-// process lifetimes still hit. The file is CRC-framed per entry; a
-// structurally damaged file is dropped whole, a damaged or *lying* entry
-// (CRC mismatch, undecodable outcome, non-ok status, negative cut) is
-// dropped individually — a poisoned cache must never change a result,
-// only cost a cold re-run. Hits on disk-loaded entries are counted
-// separately (persisted_hits) so the restart benefit is observable.
+// process lifetimes still hit. The file is a header frame plus one
+// robust/wire.h frame per entry, fingerprint inside the CRC. A foreign,
+// older-format or damaged header drops the file whole; entries load up
+// to the first damaged frame; a CRC-valid but *lying* entry (undecodable
+// outcome, non-ok status, negative cut) is dropped individually — a
+// poisoned cache must never change a result, only cost a cold re-run.
+// Hits on disk-loaded entries are counted separately (persisted_hits) so
+// the restart benefit is observable.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,7 @@ public:
         /// Of `hits`, how many were served by an entry loaded from disk —
         /// the cross-restart payoff of --state-dir.
         std::int64_t persistedHits = 0;
-        /// Entries dropped while loading (bad CRC, undecodable, lying).
+        /// Entries dropped while loading (CRC-damaged, undecodable, lying).
         std::int64_t loadRejected = 0;
     };
 
@@ -70,9 +72,10 @@ public:
     /// only cross-restart hits, never the in-memory cache.
     [[nodiscard]] robust::Status saveToFile(const std::string& path) const;
 
-    /// Loads a snapshot written by saveToFile. Never throws: a missing or
-    /// structurally damaged file loads nothing; a damaged or lying entry
-    /// is skipped (counted in Stats::loadRejected). Returns entries
+    /// Loads a snapshot written by saveToFile. Never throws: a missing
+    /// file or damaged header loads nothing; loading stops at the first
+    /// damaged entry; a lying entry is skipped (both counted in
+    /// Stats::loadRejected; a torn tail is not). Returns entries
     /// loaded. Loaded entries are marked so their hits show up as
     /// persisted_hits.
     int loadFromFile(const std::string& path);

@@ -81,18 +81,19 @@ TEST(CorruptCorpus, EveryFixtureRejectedWithParseError) {
 }
 
 // Damaged binary checkpoints: every class of corruption — torn write,
-// bit rot, wrong version, foreign file, damaged header — must surface as
-// a clean Error(kParseError) from loadCheckpoint, which the resume path
-// turns into a fresh-start fallback. A crash here would turn "lost a
-// checkpoint" into "lost the whole run".
+// bit rot, wrong version, foreign (or pre-upgrade 'MLCK') file, damaged
+// header — must surface as a clean Error(kParseError) from
+// loadCheckpoint, which the resume path turns into a fresh-start
+// fallback. A crash here would turn "lost a checkpoint" into "lost the
+// whole run".
 const CorruptCase kCheckpointCases[] = {
     {"zero_byte.ckpt", "empty checkpoint file (zero bytes)"},
     {"truncated.ckpt", "truncated"},
     {"bitflip_section.ckpt", "CRC mismatch (bit rot or torn write)"},
     {"wrong_version.ckpt", "unsupported version"},
     {"bad_magic.ckpt", "bad magic"},
-    {"header_crc.ckpt", "header CRC mismatch"},
-    {"too_short.ckpt", "too short"},
+    {"header_crc.ckpt", "CRC mismatch (bit rot or torn write) at byte 0"},
+    {"too_short.ckpt", "frame header truncated"},
 };
 
 TEST(CorruptCorpus, EveryCheckpointFixtureRejectedWithParseError) {
@@ -139,8 +140,8 @@ TEST(CorruptCorpus, ErrorsRemainCatchableAsRuntimeError) {
 // truncate-and-continue — drop the damaged tail, keep every record in
 // front of it, and come back up serving. Each fixture holds one good
 // Admit+Start for job "alpha" followed by one damage class; the
-// exception is journal_bad_magic.wal, whose very first record is rotten
-// so recovery keeps nothing. recover() truncates the file in place, so
+// exception is journal_bad_magic.wal, a valid journal in the previous
+// format, whose very first frame is foreign so recovery keeps nothing. recover() truncates the file in place, so
 // every fixture is copied into a scratch state dir first.
 struct JournalCase {
     const char* file;
@@ -148,9 +149,9 @@ struct JournalCase {
 };
 
 const JournalCase kJournalCases[] = {
-    {"journal_bad_magic.wal", 0},     // foreign file / rotten first frame
+    {"journal_bad_magic.wal", 0},     // pre-upgrade 'MLJR' journal: foreign
     {"journal_bad_type.wal", 1},      // unknown record type 9
-    {"journal_torn_header.wal", 1},   // tail torn inside the 13-byte frame
+    {"journal_torn_header.wal", 1},   // tail torn inside the 20-byte frame
     {"journal_torn_payload.wal", 1},  // frame promises bytes the file lacks
     {"journal_crc_mismatch.wal", 1},  // payload flipped after CRC
     {"journal_huge_len.wal", 1},      // declared length over the 2^28 cap
@@ -203,8 +204,9 @@ TEST(CorruptCorpus, EveryJournalFixtureRecoversByTruncation) {
 }
 
 // Damaged persisted result caches. loadFromFile never throws: header
-// damage drops the whole file (no entry boundary can be trusted past
-// it), per-entry damage drops that entry, and CRC-valid entries whose
+// damage drops the whole file, entries load up to the first damaged
+// frame (no length field can be trusted past it; a CRC-damaged entry
+// counts as rejected, a torn tail does not), and CRC-valid entries whose
 // outcomes lie (failed status, negative cut, deadline-hit) are refused
 // so a rotten snapshot can never be served as a cache hit.
 struct CacheCase {
@@ -214,11 +216,12 @@ struct CacheCase {
 };
 
 const CacheCase kCacheCases[] = {
-    {"cache_bad_magic.bin", 0, 0},       // foreign file
+    {"cache_bad_magic.bin", 0, 0},       // pre-upgrade 'MLRC' cache: foreign
     {"cache_bad_version.bin", 0, 0},     // format from the future
     {"cache_header_crc.bin", 0, 0},      // header bit rot
     {"cache_truncated_entry.bin", 1, 0}, // torn tail: keep the front
     {"cache_entry_crc.bin", 1, 1},       // one entry bit-rotten
+    {"cache_fingerprint_flip.bin", 1, 1}, // 0x2222 rotted to 0x2223
     {"cache_len_lie.bin", 1, 0},         // absurd declared entry length
     {"cache_lying_entry.bin", 1, 3},     // CRC-valid but implausible
 };
@@ -241,6 +244,7 @@ TEST(CorruptCorpus, EveryCacheFixtureLoadsOnlyTrustworthyEntries) {
         // The damaged / lying entries must never surface: in every
         // fixture the 0x2222+ fingerprints carry the corruption.
         EXPECT_FALSE(cache.lookup(0x2222, out));
+        EXPECT_FALSE(cache.lookup(0x2223, out));
         EXPECT_FALSE(cache.lookup(0x3333, out));
         EXPECT_FALSE(cache.lookup(0x4444, out));
     }

@@ -159,7 +159,7 @@ TEST(Journal, TornTailIsTruncatedAndEarlierRecordsSurvive) {
     {
         // A crash mid-append: the record header lands, the payload does not.
         std::ofstream out(wal, std::ios::binary | std::ios::app);
-        const char tear[] = {'M', 'L', 'J', 'R', 1, 40, 0, 0, 0};
+        const char tear[] = {'M', 'L', 'J', '2', 1, 0, 0, 0, 40};
         out.write(tear, sizeof(tear));
     }
     Journal j2(dir);

@@ -10,7 +10,9 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -556,6 +558,90 @@ TEST(Salvage, ReportSummaryReadsLikeAReport) {
     EXPECT_NE(s.find("2 ok (1 after retry)"), std::string::npos) << s;
     EXPECT_NE(s.find("1 failed"), std::string::npos) << s;
     EXPECT_NE(s.find("1 skipped"), std::string::npos) << s;
+}
+
+// ------------------------------------------------------------ frame scanner
+
+// Every durable format (checkpoint, journal, cache, worker pipe) reads
+// through scanFrames, so one seeded property covers all four: build a
+// random frame stream, apply one damage, and the scanner must never
+// throw, must keep exactly the frames in front of the damage, and those
+// frames must re-encode to the bytes it says they cover. The seed is
+// printed on failure and replays the case.
+TEST(FrameScanner, KeepsExactlyTheFramesBeforeAnySingleDamage) {
+    constexpr std::uint32_t kMagic = 0x54534554U; // "TEST"
+    constexpr std::uint64_t kCap = 64;
+    enum Damage { kTruncate, kFlipBit, kInsertByte, kForgeLength, kChangeMagic, kDamages };
+    for (std::uint64_t seed = 1; seed <= 10000; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        const auto pick = [&](std::uint64_t n) { return static_cast<std::size_t>(rng() % n); };
+
+        std::vector<std::uint8_t> data;
+        std::vector<std::size_t> ends; // one past each frame
+        const std::size_t frames = 1 + pick(6);
+        for (std::size_t i = 0; i < frames; ++i) {
+            std::vector<std::uint8_t> payload(pick(kCap + 1));
+            for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng());
+            robust::appendFrame(data, kMagic, static_cast<std::uint32_t>(rng()), payload);
+            ends.push_back(data.size());
+        }
+
+        std::vector<std::uint8_t> bad = data;
+        const auto damage = static_cast<Damage>(pick(kDamages));
+        const std::size_t victim = pick(frames);
+        const std::size_t victimStart = victim == 0 ? 0 : ends[victim - 1];
+        switch (damage) {
+        case kTruncate: bad.resize(pick(data.size())); break;
+        case kFlipBit: bad[pick(data.size())] ^= static_cast<std::uint8_t>(1u << pick(8)); break;
+        case kInsertByte:
+            bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(pick(data.size() + 1)),
+                       static_cast<std::uint8_t>(rng()));
+            break;
+        case kForgeLength: {
+            const std::uint64_t len = kCap + 1 + rng() % (std::uint64_t{1} << 62);
+            for (int i = 0; i < 8; ++i)
+                bad[victimStart + 8 + static_cast<std::size_t>(i)] =
+                    static_cast<std::uint8_t>(len >> (8 * i));
+            break;
+        }
+        case kChangeMagic:
+            bad[victimStart + pick(4)] ^= static_cast<std::uint8_t>(1 + pick(255));
+            break;
+        default: break;
+        }
+
+        // Oracle: the leading frames whose bytes are untouched in place.
+        // A cut exactly at a frame boundary leaves nothing damaged.
+        std::size_t intact = 0;
+        std::size_t kept = 0;
+        while (intact < frames && ends[intact] <= bad.size() &&
+               std::equal(data.begin() + static_cast<std::ptrdiff_t>(kept),
+                          data.begin() + static_cast<std::ptrdiff_t>(ends[intact]),
+                          bad.begin() + static_cast<std::ptrdiff_t>(kept)))
+            kept = ends[intact++];
+
+        robust::FrameScan scan;
+        ASSERT_NO_THROW(scan = robust::scanFrames(bad.data(), bad.size(), kMagic, kCap));
+        ASSERT_EQ(scan.frames.size(), intact) << "damage " << damage << ": " << scan.why;
+        if (kept == bad.size()) {
+            EXPECT_EQ(scan.stop, robust::FrameStop::kEnd);
+        } else if (damage == kTruncate) {
+            EXPECT_EQ(scan.stop, robust::FrameStop::kTruncated);
+        } else if (damage == kForgeLength) {
+            EXPECT_EQ(scan.stop, robust::FrameStop::kOverCap);
+        } else if (damage == kChangeMagic) {
+            EXPECT_EQ(scan.stop, robust::FrameStop::kBadMagic);
+        } else {
+            EXPECT_NE(scan.stop, robust::FrameStop::kEnd) << "damage " << damage;
+        }
+
+        std::vector<std::uint8_t> again;
+        for (const robust::Frame& f : scan.frames)
+            robust::appendFrame(again, kMagic, f.tag, f.payload, f.size);
+        ASSERT_EQ(again.size(), scan.validBytes);
+        ASSERT_TRUE(std::equal(again.begin(), again.end(), bad.begin()));
+    }
 }
 
 } // namespace

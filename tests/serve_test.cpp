@@ -283,7 +283,7 @@ TEST(ServeWire, CorruptionAndTrailingBytesAreParseErrors) {
     EXPECT_THROW((void)robust::framePayloadLength(badMagic.data(), 1u << 20), Error);
     EXPECT_THROW((void)robust::parseFrame(badMagic.data(), badMagic.size()), Error);
     std::vector<std::uint8_t> oversize = frame;
-    oversize[11] = 0x01; // declares a payload of at least 2^56 bytes
+    oversize[15] = 0x01; // declares a payload of at least 2^56 bytes
     EXPECT_THROW((void)robust::framePayloadLength(oversize.data(), 1u << 20), Error);
     EXPECT_THROW((void)robust::parseFrame(oversize.data(), oversize.size()), Error);
     EXPECT_THROW((void)robust::framePayloadLength(frame.data(),

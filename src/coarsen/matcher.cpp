@@ -264,66 +264,121 @@ Clustering matchParallel(CoarsenerKind kind, const Hypergraph& h, const MatchCon
     const ModuleId n = h.numModules();
     const std::size_t nSz = static_cast<std::size_t>(n);
     const int workers = pool.threads();
+    const std::int64_t chunks = robust::ThreadPool::chunkCount(n, kMatchChunk);
 
+    // proposal, anchor and chunkMatched are written in full before they
+    // are read; the conn rows stay all-zero between calls (proposeFor
+    // resets every entry it touches), so a level only grows them.
     ws.mate.assign(nSz, kInvalidModule);
-    ws.proposal.assign(nSz, kInvalidModule);
+    ws.proposal.resize(nSz);
+    ws.anchor.resize(nSz);
+    ws.chunkMatched.resize(static_cast<std::size_t>(chunks));
     if (static_cast<int>(ws.conn.size()) < workers) ws.conn.resize(static_cast<std::size_t>(workers));
     if (static_cast<int>(ws.touched.size()) < workers)
         ws.touched.resize(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
-        ws.conn[static_cast<std::size_t>(w)].assign(nSz, 0.0);
+        std::vector<double>& conn = ws.conn[static_cast<std::size_t>(w)];
+        if (conn.size() < nSz) conn.resize(nSz, 0.0);
         ws.touched[static_cast<std::size_t>(w)].clear();
     }
 
     ModuleId* mate = ws.mate.data();
     ModuleId* proposal = ws.proposal.data();
-    const std::int64_t chunks = robust::ThreadPool::chunkCount(n, kMatchChunk);
+    ModuleId* anchor = ws.anchor.data();
+    std::int64_t* chunkMatched = ws.chunkMatched.data();
 
     std::int64_t nMatch = 0;
+    const auto belowRatio = [&] {
+        return static_cast<double>(nMatch) < cfg.ratio * static_cast<double>(n);
+    };
     // Bounded by n/2 matches total, but in practice a handful of rounds
     // reaches the ratio — the bound only guards a degenerate no-progress
     // loop that the matched-nothing break already exits.
     const int maxRounds = 64;
-    for (int round = 0; round < maxRounds; ++round) {
-        if (static_cast<double>(nMatch) >= cfg.ratio * static_cast<double>(n)) break;
+    for (int round = 0; round < maxRounds && belowRatio(); ++round) {
         // Propose: parallel over fixed chunks; reads mate[] frozen at the
-        // round boundary, writes proposal[v] only — chunk-slot confined.
-        pool.forChunks(chunks, [&](int worker, std::int64_t chunk) {
-            std::vector<double>& conn = ws.conn[static_cast<std::size_t>(worker)];
-            std::vector<ModuleId>& touched = ws.touched[static_cast<std::size_t>(worker)];
-            const ModuleId lo = static_cast<ModuleId>(chunk * kMatchChunk);
-            const ModuleId hi = std::min<ModuleId>(n, static_cast<ModuleId>(lo + kMatchChunk));
-            for (ModuleId v = lo; v < hi; ++v) {
-                if (mate[static_cast<std::size_t>(v)] != kInvalidModule || isExcluded(cfg, v)) {
-                    proposal[static_cast<std::size_t>(v)] = kInvalidModule;
-                    continue;
+        // round boundary, writes proposal[v] (and in round 0 anchor[v])
+        // only — chunk-slot confined.
+        try {
+            pool.forChunks(chunks, [&](int worker, std::int64_t chunk) {
+                std::vector<double>& conn = ws.conn[static_cast<std::size_t>(worker)];
+                std::vector<ModuleId>& touched = ws.touched[static_cast<std::size_t>(worker)];
+                const ModuleId lo = static_cast<ModuleId>(chunk * kMatchChunk);
+                const ModuleId hi = std::min<ModuleId>(n, static_cast<ModuleId>(lo + kMatchChunk));
+                for (ModuleId v = lo; v < hi; ++v) {
+                    ModuleId p = kInvalidModule;
+                    if (mate[static_cast<std::size_t>(v)] == kInvalidModule && !isExcluded(cfg, v))
+                        p = proposeFor(h, cfg, kind, seed, mate, v, conn, touched);
+                    proposal[static_cast<std::size_t>(v)] = p;
+                    if (round == 0) anchor[static_cast<std::size_t>(v)] = p;
                 }
-                proposal[static_cast<std::size_t>(v)] =
-                    proposeFor(h, cfg, kind, seed, mate, v, conn, touched);
-            }
-        });
+            });
+        } catch (...) {
+            // A start's retry reuses this workspace, and a proposal cut
+            // short (touched.push_back can throw bad_alloc) leaves nonzero
+            // conn entries — all of them on its worker's touched list.
+            for (int w = 0; w < workers; ++w)
+                for (const ModuleId u : ws.touched[static_cast<std::size_t>(w)])
+                    ws.conn[static_cast<std::size_t>(w)][static_cast<std::size_t>(u)] = 0.0;
+            throw;
+        }
         // Commit: mutual proposals match. Only the lower endpoint writes
         // both mate slots, so writes never race and the outcome is the set
-        // of locally-maximal eligible pairs — order-independent.
+        // of locally-maximal eligible pairs — order-independent. Each chunk
+        // counts the modules it matched into its own slot.
         pool.forChunks(chunks, [&](int, std::int64_t chunk) {
             const ModuleId lo = static_cast<ModuleId>(chunk * kMatchChunk);
             const ModuleId hi = std::min<ModuleId>(n, static_cast<ModuleId>(lo + kMatchChunk));
+            std::int64_t matched = 0;
             for (ModuleId v = lo; v < hi; ++v) {
                 const ModuleId w = proposal[static_cast<std::size_t>(v)];
                 if (w == kInvalidModule || w <= v) continue;
                 if (proposal[static_cast<std::size_t>(w)] != v) continue;
                 mate[static_cast<std::size_t>(v)] = w;
                 mate[static_cast<std::size_t>(w)] = v;
+                matched += 2;
             }
+            chunkMatched[chunk] = matched;
         });
         std::int64_t matched = 0;
-        for (ModuleId v = 0; v < n; ++v)
-            if (mate[static_cast<std::size_t>(v)] != kInvalidModule) ++matched;
-        if (matched == nMatch) break; // no eligible pair left
-        nMatch = matched;
+        for (std::int64_t chunk = 0; chunk < chunks; ++chunk) matched += chunkMatched[chunk];
+        if (matched == 0) break; // no eligible pair left
+        nMatch += matched;
         // The seed advances per round so a pair rejected on a tie one
         // round is not retried with the identical coin forever.
         seed = seed * 0x9e3779b97f4a7c15ULL + 0x7f4a7c15;
+    }
+
+    // Two-hop pass: mutual proposals pair only modules that choose each
+    // other, so leaves hanging off one hub by small nets all propose the
+    // hub and one of them matches per level. Modules left unmatched whose
+    // anchors (round-0 proposals) coincide share that neighbour and pair
+    // with each other: anchors in ascending id, members of one anchor in
+    // ascending id, stopping at the ratio. An anchor is eligible for both
+    // members, so excluded modules and sameBlockOnly stay honoured.
+    if (belowRatio()) {
+        // Bucket by anchor in O(n). proposal[] is dead once the rounds end
+        // and becomes each anchor's list head; anchor[] becomes each
+        // listed module's next link. Pushing in descending module id
+        // leaves every list ascending.
+        std::fill(proposal, proposal + n, kInvalidModule);
+        for (ModuleId v = n - 1; v >= 0; --v) {
+            const ModuleId a = anchor[static_cast<std::size_t>(v)];
+            if (a == kInvalidModule || mate[static_cast<std::size_t>(v)] != kInvalidModule) continue;
+            anchor[static_cast<std::size_t>(v)] = proposal[static_cast<std::size_t>(a)];
+            proposal[static_cast<std::size_t>(a)] = v;
+        }
+        for (ModuleId a = 0; a < n && belowRatio(); ++a) {
+            ModuleId v = proposal[static_cast<std::size_t>(a)];
+            while (v != kInvalidModule && belowRatio()) {
+                const ModuleId w = anchor[static_cast<std::size_t>(v)];
+                if (w == kInvalidModule) break; // odd member stays unmatched
+                mate[static_cast<std::size_t>(v)] = w;
+                mate[static_cast<std::size_t>(w)] = v;
+                nMatch += 2;
+                v = anchor[static_cast<std::size_t>(w)];
+            }
+        }
     }
 
     // Deterministic dense cluster ids: ascending sweep, pairs take the

@@ -60,25 +60,31 @@ enum class CoarsenerKind { kConnectivityMatch, kRandomMatch, kHeavyEdgeMatch };
 
 /// Pooled scratch for the deterministic parallel matcher. The per-worker
 /// rows (conn accumulator + touched list) are sized to the pool's thread
-/// count; everything else is per-module. Capacity only ever grows, so one
-/// warm V-cycle leaves matchParallel allocation-free (the same discipline
-/// as CoarsenWorkspace).
+/// count; `chunkMatched` to the level's chunk count; everything else is
+/// per-module. Capacity only ever grows, so one warm V-cycle leaves
+/// matchParallel allocation-free (the same discipline as CoarsenWorkspace).
 struct MatchWorkspace {
     std::vector<ModuleId> proposal;   ///< per module: proposed mate this round
+    std::vector<ModuleId> anchor;     ///< per module: round-0 proposal (two-hop pass)
     std::vector<ModuleId> mate;       ///< per module: committed mate (kInvalidModule = none)
-    std::vector<std::vector<double>> conn;      ///< per worker: conn accumulator
+    std::vector<std::int64_t> chunkMatched;     ///< per chunk: modules matched this round
+    std::vector<std::vector<double>> conn;      ///< per worker: conn accumulator, all-zero between calls
     std::vector<std::vector<ModuleId>> touched; ///< per worker: touched-neighbour set
 
     void shrinkToFit() {
         std::vector<ModuleId>().swap(proposal);
+        std::vector<ModuleId>().swap(anchor);
         std::vector<ModuleId>().swap(mate);
+        std::vector<std::int64_t>().swap(chunkMatched);
         std::vector<std::vector<double>>().swap(conn);
         std::vector<std::vector<ModuleId>>().swap(touched);
     }
 
     [[nodiscard]] std::size_t capacityBytes() const {
         std::size_t n = proposal.capacity() * sizeof(ModuleId) +
+                        anchor.capacity() * sizeof(ModuleId) +
                         mate.capacity() * sizeof(ModuleId) +
+                        chunkMatched.capacity() * sizeof(std::int64_t) +
                         conn.capacity() * sizeof(std::vector<double>) +
                         touched.capacity() * sizeof(std::vector<ModuleId>);
         for (const auto& row : conn) n += row.capacity() * sizeof(double);
@@ -106,8 +112,12 @@ namespace mlpart {
 /// round boundary and written to per-module slots, so the result is
 /// bit-identical for every thread count (including 1). Rounds stop at the
 /// matching ratio (checked per round, so the ratio is honoured at round
-/// granularity) or when a round matches nothing. Cluster ids are assigned
-/// by one ascending-module-id sweep — dense and deterministic.
+/// granularity) or when a round matches nothing. If the ratio is still
+/// unmet, a serial two-hop pass pairs unmatched modules whose round-0
+/// proposals (anchors) coincide — in ascending anchor id, ascending module
+/// id within an anchor — until the ratio is met; without it a star of
+/// small nets loses one leaf to its hub per level. Cluster ids are
+/// assigned by one ascending-module-id sweep — dense and deterministic.
 [[nodiscard]] Clustering matchParallel(CoarsenerKind kind, const Hypergraph& h,
                                        const MatchConfig& cfg, std::uint64_t seed,
                                        robust::ThreadPool& pool, MatchWorkspace& ws);

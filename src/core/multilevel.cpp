@@ -432,9 +432,11 @@ std::uint64_t configFingerprint(const MLConfig& cfg) {
     // result-relevant config change — but the thread *count* is not: any
     // vcycleThreads >= 1 produces identical results, and hashing the count
     // would spuriously invalidate checkpoints between machines. Folding
-    // only when on also preserves every legacy fingerprint.
+    // only when on also preserves every legacy fingerprint; the revision
+    // retires checkpoints written by older parallel algorithms.
     if (cfg.vcycleThreads > 0) {
         f = hashCombine(f, 0x50415221ull /* "PAR!" */);
+        f = hashCombine(f, kParallelVCycleRevision);
         f = hashCombine(f, static_cast<std::uint64_t>(cfg.prePassMinModules));
     }
     // profileRefinement is observation-only (never changes results) and is

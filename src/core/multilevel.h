@@ -160,6 +160,14 @@ struct MLConfig {
     bool profileRefinement = false;
 };
 
+/// Revision of the parallel V-cycle's algorithms (MLConfig::vcycleThreads
+/// > 0). Bump it whenever a change alters parallel-mode results: both
+/// configFingerprint and serve::requestFingerprint fold it for parallel
+/// mode only, so parallel checkpoints and cached results written by an
+/// older revision read as stale while serial ones survive. Revision 1 was
+/// mutual-proposal matching alone; 2 adds the two-hop pass.
+inline constexpr std::uint64_t kParallelVCycleRevision = 2;
+
 /// Stable hash of every MLConfig field that influences results — the
 /// configuration component of the checkpoint fingerprint (DESIGN.md §10).
 /// Two configs that could produce different partitions must hash

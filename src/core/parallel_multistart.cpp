@@ -252,8 +252,9 @@ MultiStartOutcome parallelMultiStart(const Hypergraph& h, const MultilevelPartit
         // bad_alloc from the governor, verification failure — unwinds
         // through `ws` without leaking and without destroying it; the
         // engines re-initialise every buffer they touch at the start of
-        // each run, so a half-mutated workspace is safe to reuse for the
-        // retry and for later runs.
+        // each run (except the parallel matcher's conn rows: it only
+        // grows them and zeroes them on a throw), so a half-mutated
+        // workspace is safe to reuse for the retry and for later runs.
         //
         // The workspace is leased from the process-wide pool: across
         // *calls* (a long-lived service running many jobs) the warmed

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <set>
 
+#include "core/multilevel.h" // kParallelVCycleRevision
 #include "robust/checkpoint.h" // crc32, hashCombine
 #include "robust/wire.h"
 
@@ -247,7 +248,9 @@ std::uint64_t requestFingerprint(const JobRequest& r) {
     f = hashCombine(f, r.seed);
     // Parallel-mode marker only: results are bit-identical for every
     // vcycle thread count >= 1, so the count itself must not split keys.
-    f = hashCombine(f, r.vcycleThreads > 0 ? 1u : 0u);
+    // Serial keeps 0; parallel folds the algorithm revision (the bare
+    // marker 1 was revision 1), so entries of older revisions go stale.
+    f = hashCombine(f, r.vcycleThreads > 0 ? kParallelVCycleRevision : 0u);
     return f == 0 ? 1 : f;
 }
 

@@ -115,7 +115,8 @@ struct JobOutcome {
 /// text, or the raw bytes of the on-disk file) with every knob that
 /// determines the result — k, tolerance, ratio, engine, runs, seed, and
 /// the parallel-V-cycle mode marker (vcycle_threads > 0, never the thread
-/// count: results are bit-identical for every count >= 1). Returns 0 when
+/// count: results are bit-identical for every count >= 1), which is the
+/// parallel algorithms' revision (kParallelVCycleRevision). Returns 0 when
 /// the request cannot be fingerprinted (missing or oversized instance
 /// file) — callers must treat 0 as "never cache".
 [[nodiscard]] std::uint64_t requestFingerprint(const JobRequest& r);

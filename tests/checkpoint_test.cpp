@@ -106,6 +106,17 @@ TEST(Hashing, ConfigFingerprintSeesEveryTuningKnob) {
     EXPECT_NE(configFingerprint(b), base);
 }
 
+/// Literals written by revision 1 of the parallel V-cycle (mutual-proposal
+/// matching alone). Serial checkpoints must keep resuming across the
+/// revision bump; parallel ones must read as stale.
+TEST(Hashing, ConfigFingerprintRetiresOnlyOlderParallelRevisions) {
+    MLConfig serial;
+    EXPECT_EQ(configFingerprint(serial), 0x498287c4e392c721ull);
+    MLConfig parallel;
+    parallel.vcycleThreads = 4;
+    EXPECT_NE(configFingerprint(parallel), 0x7d3f2b618292583aull);
+}
+
 // ----------------------------------------------------------------- format
 
 CheckpointState sampleState() {

@@ -19,6 +19,8 @@
 #include "coarsen/coarsen_kernel.h"
 #include "coarsen/matcher.h"
 #include "core/multilevel.h"
+#include "gen/benchmark_suite.h"
+#include "hypergraph/builder.h"
 #include "refine/multistart.h"
 #include "robust/thread_pool.h"
 #include "test_util.h"
@@ -163,6 +165,79 @@ TEST(ParallelVCycle, PerLevelHierarchyIdenticalAcrossPools) {
             seed = seed * 0x9e3779b97f4a7c15ULL + 1;
         }
         ASSERT_LE(ref.numModules(), 70) << "coarsening stalled far above the threshold";
+    }
+}
+
+/// A hub with leaves on 2-pin nets; every module but the hub also sits on
+/// 12-pin nets, above the matching limit. Mutual proposals match the hub
+/// with one leaf and nothing else, so coarsening used to shed one module
+/// per level. The two-hop pass pairs the remaining leaves through their
+/// shared anchor up to the matching ratio, identically for every pool size.
+TEST(ParallelVCycle, TwoHopPairsStarLeavesAcrossPools) {
+    constexpr ModuleId kLeaves = 41;
+    constexpr ModuleId kOthers = 37; // 12-pin nets, stride 6, cover modules 1..78
+    HypergraphBuilder b(1 + kLeaves + kOthers);
+    for (ModuleId leaf = 1; leaf <= kLeaves; ++leaf) b.addNet({0, leaf});
+    for (ModuleId first = 1; first + 12 <= 1 + kLeaves + kOthers; first += 6) {
+        std::vector<ModuleId> pins(12);
+        for (ModuleId i = 0; i < 12; ++i) pins[static_cast<std::size_t>(i)] = first + i;
+        b.addNet(pins);
+    }
+    const Hypergraph h = std::move(b).build();
+
+    for (const CoarsenerKind kind : {CoarsenerKind::kConnectivityMatch,
+                                     CoarsenerKind::kRandomMatch,
+                                     CoarsenerKind::kHeavyEdgeMatch}) {
+        for (const double ratio : {1.0, 0.25}) {
+            SCOPED_TRACE(::testing::Message() << "matcher " << toString(kind) << " R " << ratio);
+            MatchConfig mc; // paper's 10-pin limit
+            mc.ratio = ratio;
+            robust::ThreadPool refPool(1);
+            MatchWorkspace refWs;
+            const Clustering ref = matchParallel(kind, h, mc, 5, refPool, refWs);
+            std::vector<int> members(static_cast<std::size_t>(ref.numClusters), 0);
+            for (const ModuleId c : ref.clusterOf) ++members[static_cast<std::size_t>(c)];
+            for (const int m : members) EXPECT_LE(m, 2) << "clusters must stay pairs";
+            for (ModuleId v = 1 + kLeaves; v < h.numModules(); ++v)
+                EXPECT_EQ(members[static_cast<std::size_t>(ref.clusterOf[static_cast<std::size_t>(v)])], 1)
+                    << "module " << v << " has no small net and must stay single";
+            const ModuleId pairs = h.numModules() - ref.numClusters;
+            const double target = ratio * static_cast<double>(h.numModules());
+            if (ratio == 1.0) {
+                EXPECT_GE(pairs, (kLeaves - 1) / 2);
+            } else { // stops as soon as R * n modules are matched
+                EXPECT_GE(2.0 * pairs, target);
+                EXPECT_LT(2.0 * (pairs - 1), target);
+            }
+            for (const int t : {2, 4, 8}) {
+                robust::ThreadPool pool(t);
+                MatchWorkspace ws;
+                const Clustering got = matchParallel(kind, h, mc, 5, pool, ws);
+                EXPECT_EQ(got.numClusters, ref.numClusters) << "threads " << t;
+                EXPECT_EQ(got.clusterOf, ref.clusterOf) << "threads " << t;
+            }
+        }
+    }
+}
+
+/// The parallel V-cycle's hierarchy must be about as deep as the serial
+/// one: without the two-hop pass these runs coarsen in 42 and 58 levels
+/// against 15 and 21 serially.
+TEST(ParallelVCycle, HierarchyDepthTracksSerial) {
+    for (const char* name : {"s9234", "s13207"}) {
+        SCOPED_TRACE(name);
+        const Hypergraph h = benchmarkInstance(name);
+        FMConfig fm;
+        fm.variant = EngineVariant::kCLIP;
+        MLConfig serialCfg;
+        MLConfig parallelCfg;
+        parallelCfg.vcycleThreads = 4;
+        std::mt19937_64 r0(1);
+        const MLResult serial = MultilevelPartitioner(serialCfg, makeFMFactory(fm)).run(h, r0);
+        std::mt19937_64 r1(1);
+        const MLResult parallel = MultilevelPartitioner(parallelCfg, makeFMFactory(fm)).run(h, r1);
+        EXPECT_LE(parallel.levels, serial.levels + 4)
+            << "parallel " << parallel.levels << " levels vs serial " << serial.levels;
     }
 }
 

@@ -880,6 +880,17 @@ TEST(ServeCache, LruEvictsAndCountsExactly) {
     EXPECT_EQ(s.invalidations, 1);
 }
 
+/// Literals written by revision 1 of the parallel V-cycle: a persisted
+/// serial cache entry must still be served after the revision bump, a
+/// parallel one must miss.
+TEST(ServeCache, FingerprintRetiresOnlyOlderParallelRevisions) {
+    JobRequest a = tinyRequest("a");
+    a.seed = 42;
+    EXPECT_EQ(requestFingerprint(a), 0x53abe977eb94f5d7ull);
+    a.vcycleThreads = 2;
+    EXPECT_NE(requestFingerprint(a), 0x3214c42aadab9f38ull);
+}
+
 TEST(ServeCache, FingerprintFoldsConfigButNotThreadCounts) {
     JobRequest a = tinyRequest("a");
     a.seed = 42;

@@ -497,9 +497,10 @@ int main(int argc, char** argv) {
         InstanceResult r = benchInstance(name, h, o, o.vcycleThreads);
         r.source = isFile ? "file" : "synthetic";
         results.push_back(r);
-        std::printf("cut %lld (avg %.1f), %.3fs wall [coarsen %.3f, initial %.3f, refine %.3f], rss %ld KiB\n",
+        std::printf("cut %lld (avg %.1f), %.3fs wall [coarsen %.3f, initial %.3f, refine %.3f], "
+                    "levels %d, rss %ld KiB\n",
                     static_cast<long long>(r.bestCut), r.avgCut, r.wallSec, r.coarsenSec,
-                    r.initialSec, r.refineSec, r.peakRssKb);
+                    r.initialSec, r.refineSec, r.levels, r.peakRssKb);
         if (o.profile) printProfile(r);
         // Thread-scaling sweep rows: same instance under each requested
         // deterministic thread count. Cuts must agree across the sweep
@@ -509,7 +510,8 @@ int main(int argc, char** argv) {
             std::cout << sweepName << ": " << std::flush;
             InstanceResult sr = benchInstance(sweepName, h, o, t);
             sr.source = r.source;
-            std::printf("cut %lld, %.3fs wall\n", static_cast<long long>(sr.bestCut), sr.wallSec);
+            std::printf("cut %lld, %.3fs wall, levels %d\n", static_cast<long long>(sr.bestCut),
+                        sr.wallSec, sr.levels);
             if (!o.vcycleSweep.empty() && t != o.vcycleSweep.front()) {
                 const std::string firstName = name + "@vt" + std::to_string(o.vcycleSweep.front());
                 for (const InstanceResult& prev : results) {

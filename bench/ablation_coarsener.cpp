@@ -25,7 +25,7 @@ int main() {
         for (int ki = 0; ki < 3; ++ki) {
             MLConfig cfg;
             cfg.coarsener = kinds[ki];
-            MultilevelPartitioner ml(cfg, makeFMFactory({}));
+            MultilevelPartitioner ml(cfg, makeFMFactory(bench::paperFM()));
             std::mt19937_64 rng(0xAB1 + static_cast<std::uint64_t>(ki));
             Stopwatch w;
             for (int run = 0; run < env.runs; ++run)

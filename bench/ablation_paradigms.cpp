@@ -25,7 +25,7 @@ int main() {
             const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
             RunStats flat, twoPhase, spectral, ml;
 
-            FMRefiner fm(h, {});
+            FMRefiner fm(h, bench::paperFM());
             std::mt19937_64 rng(0xAB6);
             for (int run = 0; run < env.runs; ++run)
                 flat.add(static_cast<double>(randomStartRefine(h, fm, 0.1, rng)));
@@ -33,7 +33,7 @@ int main() {
             std::mt19937_64 rng2(0xAB7);
             for (int run = 0; run < env.runs; ++run)
                 twoPhase.add(static_cast<double>(
-                    twoPhasePartition(h, {}, makeFMFactory({}), rng2).cut));
+                    twoPhasePartition(h, {}, makeFMFactory(bench::paperFM()), rng2).cut));
 
             std::mt19937_64 rng3(0xAB8);
             for (int run = 0; run < env.runs; ++run) {
@@ -42,7 +42,7 @@ int main() {
                 spectral.add(static_cast<double>(fm.refine(p, bc, rng3)));
             }
 
-            MultilevelPartitioner mlp(MLConfig{}, makeFMFactory({}));
+            MultilevelPartitioner mlp(MLConfig{}, makeFMFactory(bench::paperFM()));
             std::mt19937_64 rng4(0xAB9);
             for (int run = 0; run < env.runs; ++run)
                 ml.add(static_cast<double>(mlp.run(h, rng4).cut));
@@ -64,7 +64,8 @@ int main() {
         Table t({"Test", "AVG fm", "AVG d=3 moves", "AVG tighten", "AVG la3"});
         for (const std::string& name : bench::suiteFor(env)) {
             const Hypergraph h = benchmarkInstance(name, env.scale);
-            FMConfig variants[4];
+            FMConfig variants[4] = {bench::paperFM(), bench::paperFM(), bench::paperFM(),
+                                    bench::paperFM()};
             variants[1].movesPerPass = 3;
             variants[2].tightenStart = 0.3;
             variants[3].lookahead = 3;

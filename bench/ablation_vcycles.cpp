@@ -22,7 +22,7 @@ int main() {
         for (const std::string& name : bench::suiteFor(env)) {
             const Hypergraph h = benchmarkInstance(name, env.scale);
             auto runML = [&](const MLConfig& cfg, double* seconds) {
-                MultilevelPartitioner ml(cfg, makeFMFactory({}));
+                MultilevelPartitioner ml(cfg, makeFMFactory(bench::paperFM()));
                 std::mt19937_64 rng(0xAB3);
                 RunStats stats;
                 Stopwatch w;
@@ -71,7 +71,8 @@ int main() {
             {
                 std::mt19937_64 rng(0xAB5);
                 for (int run = 0; run < env.runs; ++run) {
-                    const Partition p = recursiveBisection(h, 4, MLConfig{}, makeFMFactory({}), rng);
+                    const Partition p = recursiveBisection(h, 4, MLConfig{},
+                                                           makeFMFactory(bench::paperFM()), rng);
                     recur.add(static_cast<double>(cutNets(h, p)));
                 }
             }

@@ -18,6 +18,7 @@
 #include "analysis/table.h"
 #include "gen/benchmark_suite.h"
 #include "hypergraph/hypergraph.h"
+#include "refine/fm_config.h"
 
 namespace mlpart::bench {
 
@@ -39,6 +40,16 @@ inline CellResult runCell(int runs, const std::function<double(int run)>& runOnc
     for (int i = 0; i < runs; ++i) r.cuts.add(runOnce(i));
     r.seconds = watch.seconds();
     return r;
+}
+
+/// The bisection engine as the paper runs it: FMConfig defaults with the
+/// paper's stopping rule (a pass without gain) in place of the default
+/// pass budget. Every table, figure and ablation binary builds its FM
+/// configurations from this, so their cuts follow the paper's protocol.
+inline FMConfig paperFM() {
+    FMConfig cfg;
+    cfg.maxPasses = kPaperMaxPasses;
+    return cfg;
 }
 
 /// Standard header line for a bench binary.

@@ -16,7 +16,7 @@ int main() {
     const BenchEnv env = benchEnv(/*defaultRuns=*/5, /*defaultScale=*/0.25);
     bench::printHeader("Figure 4: average cut vs matching ratio R (ML_C)", env);
 
-    FMConfig clip;
+    FMConfig clip = bench::paperFM();
     clip.variant = EngineVariant::kCLIP;
     const std::vector<std::string> circuits = env.full
                                                   ? std::vector<std::string>{"avqsmall", "avqlarge"}

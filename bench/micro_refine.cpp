@@ -1,6 +1,6 @@
 // Microbenchmarks for the refinement engines: one full refine() (all
-// passes to convergence) from a fresh random start, across engine
-// variants and circuit sizes, plus the fast-pass-init extension.
+// passes to convergence, the paper's stopping rule) from a fresh random
+// start, across engine variants and circuit sizes.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -24,6 +24,7 @@ const Hypergraph& circuit(std::int64_t which) {
 void BM_RefineFM(benchmark::State& state) {
     const Hypergraph& h = circuit(state.range(0));
     FMConfig cfg;
+    cfg.maxPasses = kPaperMaxPasses;
     cfg.variant = state.range(1) == 0 ? EngineVariant::kFM : EngineVariant::kCLIP;
     FMRefiner fm(h, cfg);
     std::mt19937_64 rng(1);
@@ -35,23 +36,10 @@ void BM_RefineFM(benchmark::State& state) {
 }
 BENCHMARK(BM_RefineFM)->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1});
 
-void BM_RefineFastPassInit(benchmark::State& state) {
-    const Hypergraph& h = circuit(1);
-    FMConfig cfg;
-    cfg.fastPassInit = state.range(0) != 0;
-    FMRefiner fm(h, cfg);
-    std::mt19937_64 rng(2);
-    for (auto _ : state) {
-        const Weight cut = randomStartRefine(h, fm, 0.1, rng);
-        benchmark::DoNotOptimize(cut);
-    }
-    state.SetItemsProcessed(state.iterations() * h.numModules());
-}
-BENCHMARK(BM_RefineFastPassInit)->Arg(0)->Arg(1);
-
 void BM_RefineBoundaryInit(benchmark::State& state) {
     const Hypergraph& h = circuit(1);
     FMConfig cfg;
+    cfg.maxPasses = kPaperMaxPasses;
     cfg.boundaryInit = state.range(0) != 0;
     FMRefiner fm(h, cfg);
     std::mt19937_64 rng(3);

@@ -22,7 +22,7 @@ int main() {
         const Hypergraph h = benchmarkInstance(name, env.scale);
         RunStats stats[3];
         for (int pi = 0; pi < 3; ++pi) {
-            FMConfig cfg;
+            FMConfig cfg = bench::paperFM();
             cfg.policy = policies[pi];
             FMRefiner fm(h, cfg);
             std::mt19937_64 rng(0xB2 + static_cast<std::uint64_t>(pi));

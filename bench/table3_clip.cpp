@@ -22,7 +22,7 @@ int main() {
         RunStats stats[2];
         double secs[2] = {0, 0};
         for (int vi = 0; vi < 2; ++vi) {
-            FMConfig cfg;
+            FMConfig cfg = bench::paperFM();
             cfg.variant = vi == 0 ? EngineVariant::kFM : EngineVariant::kCLIP;
             FMRefiner engine(h, cfg);
             std::mt19937_64 rng(0xC11); // same seed: identical starting partitions

@@ -17,8 +17,8 @@ int main() {
     const BenchEnv env = benchEnv(/*defaultRuns=*/10, /*defaultScale=*/0.5);
     bench::printHeader("Table IV: CLIP vs ML_F vs ML_C (R = 1, T = 35)", env);
 
-    FMConfig fmCfg;
-    FMConfig clipCfg;
+    FMConfig fmCfg = bench::paperFM();
+    FMConfig clipCfg = bench::paperFM();
     clipCfg.variant = EngineVariant::kCLIP;
     MLConfig mlCfg; // T = 35, R = 1 defaults
 

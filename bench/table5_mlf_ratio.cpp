@@ -26,7 +26,7 @@ int main() {
         for (int ri = 0; ri < 3; ++ri) {
             MLConfig cfg;
             cfg.matchingRatio = ratios[ri];
-            MultilevelPartitioner ml(cfg, makeFMFactory({}));
+            MultilevelPartitioner ml(cfg, makeFMFactory(bench::paperFM()));
             std::mt19937_64 rng(0x501 + static_cast<std::uint64_t>(ri));
             Stopwatch w;
             for (int run = 0; run < env.runs; ++run)

@@ -15,7 +15,7 @@ int main() {
     const BenchEnv env = benchEnv(/*defaultRuns=*/10, /*defaultScale=*/0.5);
     bench::printHeader("Table VI: ML_C vs matching ratio R", env);
 
-    FMConfig clip;
+    FMConfig clip = bench::paperFM();
     clip.variant = EngineVariant::kCLIP;
     const double ratios[] = {1.0, 0.5, 0.33};
     Table t({"Test", "MIN 1.0", "MIN 0.5", "MIN 0.33", "AVG 1.0", "AVG 0.5", "AVG 0.33",

@@ -42,8 +42,8 @@ int main() {
 
     const auto suite = bench::suiteFor(env);
 
-    FMConfig fmCfg;
-    FMConfig clipCfg;
+    FMConfig fmCfg = bench::paperFM();
+    FMConfig clipCfg = bench::paperFM();
     clipCfg.variant = EngineVariant::kCLIP;
     FMConfig clipLa3 = clipCfg;
     clipLa3.lookahead = 3;

@@ -19,8 +19,8 @@ int main() {
     const BenchEnv env = benchEnv(/*defaultRuns=*/5, /*defaultScale=*/0.4);
     bench::printHeader("Table VIII: CPU seconds for N runs of each algorithm", env);
 
-    FMConfig fmCfg;
-    FMConfig clipCfg;
+    FMConfig fmCfg = bench::paperFM();
+    FMConfig clipCfg = bench::paperFM();
     clipCfg.variant = EngineVariant::kCLIP;
     FMConfig clipLa3 = clipCfg;
     clipLa3.lookahead = 3;

@@ -13,6 +13,7 @@
 #include "core/workspace_pool.h"
 #include "hypergraph/io.h"
 #include "hypergraph/stats.h"
+#include "refine/fm_config.h" // kBisectionEngineRevision
 #include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
 #include "robust/memory_governor.h"
@@ -65,6 +66,14 @@ struct RestoredPartial {
 };
 
 } // namespace
+
+std::uint64_t engineFingerprintSalt(const std::string& engine, PartId k) {
+    std::uint64_t salt = 0x454e47u; // "ENG"
+    for (const char c : engine)
+        salt = robust::hashCombine(salt, static_cast<std::uint8_t>(c));
+    if (k == 2) salt = robust::hashCombine(salt, kBisectionEngineRevision);
+    return salt;
+}
 
 MultiStartOutcome parallelMultiStart(const Hypergraph& h, const MultilevelPartitioner& ml,
                                      const MultiStartConfig& cfg) {

@@ -61,7 +61,8 @@ struct MultiStartConfig {
     /// Extra caller entropy folded into the checkpoint fingerprint. The
     /// refinement engine hides behind an opaque RefinerFactory, so the
     /// library cannot fingerprint it; callers hash their engine choice
-    /// (and any other result-affecting knobs) here.
+    /// (and any other result-affecting knobs) here, usually as
+    /// engineFingerprintSalt().
     std::uint64_t fingerprintSalt = 0;
 };
 
@@ -84,6 +85,15 @@ struct MultiStartOutcome {
     /// True when at least one start produced a valid partition.
     [[nodiscard]] bool ok() const { return bestRun >= 0; }
 };
+
+/// Salt for a job that partitions k ways with the named engine (`fm`,
+/// `clip`, or a portfolio engine): the engine name and, for k = 2, the
+/// bisection engine's revision (kBisectionEngineRevision). The mlpart CLI
+/// and serve workers use it as MultiStartConfig::fingerprintSalt, and
+/// serve::requestFingerprint folds it into result-cache keys, so
+/// checkpoints and cached results of an older bisection engine read as
+/// stale while k > 2 ones survive.
+[[nodiscard]] std::uint64_t engineFingerprintSalt(const std::string& engine, PartId k);
 
 /// Runs `cfg.runs` independent ML V-cycles in parallel and returns the
 /// best result plus the cut statistics. Deterministic for fixed

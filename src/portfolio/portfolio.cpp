@@ -48,9 +48,10 @@ constexpr int kLaneGenerations = 6;
     return ml;
 }
 
-[[nodiscard]] RefinerFactory makeFactory(const PortfolioConfig& cfg) {
+/// The lanes' refinement engine: bisection FM/CLIP from `fm` for k = 2,
+/// the k-way engine otherwise.
+[[nodiscard]] RefinerFactory makeFactory(const PortfolioConfig& cfg, FMConfig fm = {}) {
     if (cfg.k == 2) {
-        FMConfig fm;
         fm.tolerance = cfg.tolerance;
         if (cfg.clip) fm.variant = EngineVariant::kCLIP;
         return makeFMFactory(fm);
@@ -59,6 +60,14 @@ constexpr int kLaneGenerations = 6;
     kw.tolerance = cfg.tolerance;
     kw.clip = cfg.clip;
     return makeKWayFactory(kw);
+}
+
+/// LSMC and two-phase are the paper's comparators (Table VII): their FM
+/// keeps the paper's stopping rule instead of the default pass budget.
+[[nodiscard]] RefinerFactory makeComparatorFactory(const PortfolioConfig& cfg) {
+    FMConfig fm;
+    fm.maxPasses = kPaperMaxPasses;
+    return makeFactory(cfg, fm);
 }
 
 /// Wraps `base` so every refiner it creates runs under `deadline`.
@@ -99,8 +108,8 @@ struct LaneProduct {
         tp.tolerance = cfg.tolerance;
         tp.k = cfg.k;
         tp.matchingRatio = cfg.matchingRatio;
-        TwoPhaseResult out =
-            twoPhasePartition(h, tp, deadlineFactory(factory, deadline), rng);
+        TwoPhaseResult out = twoPhasePartition(
+            h, tp, deadlineFactory(makeComparatorFactory(cfg), deadline), rng);
         return {std::move(out.partition), out.cut, deadline.expired()};
     }
     case EngineKind::kLSMC: {
@@ -108,7 +117,7 @@ struct LaneProduct {
         lc.descents = kLaneLsmcDescents;
         lc.tolerance = cfg.tolerance;
         lc.k = cfg.k;
-        LSMCPartitioner lsmc(lc, factory);
+        LSMCPartitioner lsmc(lc, makeComparatorFactory(cfg));
         LSMCResult out = lsmc.run(h, rng, deadline);
         return {std::move(out.partition), out.cut, deadline.expired()};
     }

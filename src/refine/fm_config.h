@@ -18,9 +18,25 @@ enum class EngineVariant {
     return v == EngineVariant::kFM ? "FM" : "CLIP";
 }
 
-/// All knobs of the bipartition refinement engine. Defaults reproduce the
-/// paper's configuration: LIFO buckets, r = 0.1 tolerance, nets with more
-/// than 200 pins ignored during refinement.
+/// The paper's stopping rule as a pass cap (Fig. 2, §III.B): refinement
+/// runs until a pass gains nothing, and a cap this high only guards
+/// pathological cycling. Set FMConfig::maxPasses to it wherever a result
+/// must reproduce the paper (the bench/ table and figure binaries, the
+/// LSMC and two-phase comparators, the follow-up FM of Table VII).
+inline constexpr int kPaperMaxPasses = 64;
+
+/// Revision of what a default-config FMRefiner computes. Bump it whenever
+/// a change alters default bisection results: engineFingerprintSalt
+/// (core/parallel_multistart.h) folds it for k = 2, so checkpoints and
+/// cached serve results of an older revision read as stale while k > 2
+/// ones survive. Revision 1 stopped at the first pass without gain
+/// (kPaperMaxPasses); 2 adds the 4-pass budget.
+inline constexpr std::uint64_t kBisectionEngineRevision = 2;
+
+/// All knobs of the bipartition refinement engine. Defaults follow the
+/// paper's configuration — LIFO buckets, r = 0.1 tolerance, nets with more
+/// than 200 pins ignored during refinement — except the pass budget
+/// (maxPasses), which ends refinement sooner than the paper's rule.
 struct FMConfig {
     EngineVariant variant = EngineVariant::kFM;
     BucketPolicy policy = BucketPolicy::kLifo;
@@ -30,9 +46,12 @@ struct FMConfig {
     /// Nets with more than this many pins are ignored during refinement
     /// and reinstated when measuring solution quality (paper §III.B).
     int maxNetSize = 200;
-    /// Hard cap on FM passes (the natural stop is a pass without
-    /// improvement; the cap only guards pathological cycling).
-    int maxPasses = 64;
+    /// Pass budget: refine() stops after this many passes or after the
+    /// first pass without improvement, whichever comes first. The paper's
+    /// rule runs 4-8 passes per fine level on golem3, and the passes after
+    /// the fourth move many modules for little gain (EXPERIMENTS.md "FM
+    /// pass budget"). kPaperMaxPasses restores the paper's natural stop.
+    int maxPasses = 4;
     /// Krishnamurthy lookahead depth for tie-breaking: 0 or 1 = off,
     /// 2..4 = compare level-2..level-k gains among equal top-gain modules.
     int lookahead = 0;
@@ -47,15 +66,12 @@ struct FMConfig {
     /// Extension (paper "future work"): initialize buckets with boundary
     /// modules only; gains of others computed on demand.
     bool boundaryInit = false;
-    /// Extension (paper "future work"): abandon a pass when more than this
-    /// fraction of the movable modules have been moved since the best
-    /// prefix (0 disables).
+    /// Extension (paper "future work"): once a pass has improved the cut,
+    /// abandon it when more than this fraction of the movable modules have
+    /// been moved since the best prefix (0 disables). Before the first
+    /// improvement the rule never fires, so it trims only a pass's
+    /// unprofitable tail and never ends a level's refinement early.
     double earlyExitFraction = 0.0;
-    /// Extension (paper "future work", after Chaco): faster bucket
-    /// reinitialization between passes — only modules whose neighbourhood
-    /// changed during the previous pass have their gains recomputed; all
-    /// others reuse their stored gain.
-    bool fastPassInit = false;
     /// Dasdan-Aykanat-style relaxed locking (Section II.B): each module
     /// may move up to this many times per pass (1 = classic FM locking).
     int movesPerPass = 1;

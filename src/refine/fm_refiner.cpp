@@ -176,7 +176,6 @@ bool FMRefiner::isBoundary(ModuleId v, const Partition& part) const {
 void FMRefiner::buildBuckets(const Partition& part) {
     for (int s = 0; s < 2; ++s) bucket_[s]->clear();
     const ModuleId n = h_.numModules();
-    const bool useCache = cfg_.fastPassInit && gainsValid_;
     // Pass-start gains, restructured for the memory system. While the
     // planes fit in cache, one SIMD sweep (perf::classifyNetsHot) folds the
     // per-net hot records into two branch-free per-net gain planes —
@@ -212,19 +211,10 @@ void FMRefiner::buildBuckets(const Partition& part) {
             }
             if (!boundary) continue;
         }
-        Weight g;
-        if (useCache && !dirty_[vi]) {
-            g = gains_[vi]; // neighbourhood untouched last pass: gain unchanged
-        } else if (plane[0] != nullptr) {
-            g = perf::gatherSum(plane[static_cast<std::size_t>(part.part(v))], vNets.data(),
-                                vNets.size());
-        } else {
-            g = computeGain(v, part);
-        }
-        if (cfg_.fastPassInit) {
-            gains_[vi] = g;
-            dirty_[vi] = 0;
-        }
+        const Weight g = plane[0] != nullptr
+                             ? perf::gatherSum(plane[static_cast<std::size_t>(part.part(v))],
+                                               vNets.data(), vNets.size())
+                             : computeGain(v, part);
         bucket_[part.part(v)]->insert(v, g);
 #if MLPART_CHECK_INVARIANTS
         // CLIP zeroes displayed gains at concatenation; remember the true
@@ -232,7 +222,6 @@ void FMRefiner::buildBuckets(const Partition& part) {
         checkBase_[vi] = cfg_.variant == EngineVariant::kCLIP ? g : 0;
 #endif
     }
-    if (cfg_.fastPassInit) gainsValid_ = true;
     if (cfg_.variant == EngineVariant::kCLIP) {
         bucket_[0]->clipConcatenate();
         bucket_[1]->clipConcatenate();
@@ -337,7 +326,6 @@ Weight FMRefiner::applyMove(ModuleId v, Partition& part) {
 
     std::vector<ModuleId>& lazyInsert = ws_->lazyInsert;
     lazyInsert.clear();
-    if (cfg_.fastPassInit) dirty_[static_cast<std::size_t>(v)] = 1;
     auto adjust = [&](ModuleId u, Weight d) {
         if (u == v) return; // register compare first; the state load misses cache
         const char st = state_[static_cast<std::size_t>(u)];
@@ -350,13 +338,13 @@ Weight FMRefiner::applyMove(ModuleId v, Partition& part) {
     if (bucket_[from]->contains(v)) bucket_[from]->remove(v);
     // One traversal of v's nets does everything per net: measure the true
     // cut delta from the pre-move pin counts (one 16-byte NetHot load per
-    // net), mark neighbourhoods dirty (fastPassInit), apply the standard
-    // FM delta-gain rules around the count updates, and accumulate v's own
-    // post-move gain so the relaxed-locking re-insert below needs no
-    // second traversal: after v's pin flips sides, a net that was pcTo==0
-    // is one v-move from becoming uncut again (+w) and a net that was
-    // pcFrom==1 would become cut again (-w); the else-if mirrors
-    // computeGain()'s rule priority exactly (single-pin nets hit both).
+    // net), apply the standard FM delta-gain rules around the count
+    // updates, and accumulate v's own post-move gain so the
+    // relaxed-locking re-insert below needs no second traversal: after
+    // v's pin flips sides, a net that was pcTo==0 is one v-move from
+    // becoming uncut again (+w) and a net that was pcFrom==1 would become
+    // cut again (-w); the else-if mirrors computeGain()'s rule priority
+    // exactly (single-pin nets hit both).
     Weight delta = 0;
     Weight gainAfter = 0;
     const std::span<const NetId> vNets = h_.nets(v);
@@ -370,14 +358,8 @@ Weight FMRefiner::applyMove(ModuleId v, Partition& part) {
         if (pcFrom < 0) continue; // inactive sentinel
         const std::int32_t pcTo = ne.pc[toS];
         // Interior nets (2+ pins on both sides before and after the move)
-        // trigger no rule; skip even the weight read for them. They also
-        // leave every pin's gain contribution untouched — a contribution
-        // flips only when a count crosses the ==0/==1 thresholds, i.e.
-        // exactly when this guard fires — so the fastPassInit dirty marks
-        // are only needed (and only applied) inside it.
+        // trigger no rule; skip even the weight read for them.
         if (pcTo <= 1 || pcFrom <= 2) {
-            if (cfg_.fastPassInit)
-                for (ModuleId u : h_.pins(e)) dirty_[static_cast<std::size_t>(u)] = 1;
             const Weight w = ne.w;
             if (pcTo == 0) {
                 delta -= w; // net becomes cut
@@ -474,10 +456,6 @@ void FMRefiner::undoMoves(std::size_t count, Partition& part) {
             const std::size_t ei = static_cast<std::size_t>(e);
             perf::NetHot& ne = nh_[ei];
             if (ne.pc[0] < 0) continue; // inactive sentinel
-            // Same threshold argument as applyMove, for the reverse move:
-            // contributions only change when a count crosses ==0/==1.
-            if (cfg_.fastPassInit && (ne.pc[cur] <= 2 || ne.pc[back] <= 1))
-                for (ModuleId u : h_.pins(e)) dirty_[static_cast<std::size_t>(u)] = 1;
             ne.pc[cur]--;
             ne.pc[back]++;
             if (trackLockedPins_) lockedPc_[2 * ei + cur]--;
@@ -570,7 +548,10 @@ Weight FMRefiner::runPass(Partition& part, const BalanceConstraint& bc, std::mt1
 #endif
             continue;
         }
-        if (cfg_.earlyExitFraction > 0.0 && moves.size() > bestIdx) {
+        // Early exit trims only the unprofitable tail of a pass that has
+        // already improved: cut off before its first improvement, a pass
+        // would return 0 and refine() would read that as convergence.
+        if (cfg_.earlyExitFraction > 0.0 && bestIdx > 0 && moves.size() > bestIdx) {
             const double sinceBest = static_cast<double>(moves.size() - bestIdx);
             if (sinceBest > cfg_.earlyExitFraction * static_cast<double>(std::max<std::size_t>(movable, 1)))
                 break;
@@ -623,13 +604,6 @@ Weight FMRefiner::refine(Partition& part, const BalanceConstraint& bc, std::mt19
     if (!bc.satisfied(part)) rebalance(h_, part, bc, rng); // defensive; ML projections are pre-balanced
 
     initNetState(part);
-    if (cfg_.fastPassInit) {
-        ws.gains.assign(nSz, 0);
-        ws.dirty.assign(nSz, 0);
-        gains_ = ws.gains.data();
-        dirty_ = ws.dirty.data();
-        gainsValid_ = false;
-    }
     const std::size_t lockedPcLen = 2 * static_cast<std::size_t>(h_.numNets());
     lastPassCount_ = 0;
     lastMoveCount_ = 0;
@@ -667,9 +641,8 @@ Weight FMRefiner::refine(Partition& part, const BalanceConstraint& bc, std::mt19
         // caller's bound: repair and run one exact-tolerance pass.
         rebalance(h_, part, bc, rng);
         // rebalance() moves modules behind the engine's back: the pin
-        // counts, tracked cut, and any cached pass-start gains are stale.
+        // counts and the tracked cut are stale.
         initNetState(part);
-        gainsValid_ = false;
         for (ModuleId i = 0; i < n; ++i) {
             const std::size_t iSz = static_cast<std::size_t>(i);
             state_[iSz] = static_cast<char>(

@@ -26,7 +26,8 @@ class FMRefiner final : public Refiner {
 public:
     FMRefiner(const Hypergraph& h, FMConfig cfg);
 
-    /// Runs FM passes until a pass yields no improvement (or maxPasses).
+    /// Runs FM passes until a pass yields no improvement or the pass
+    /// budget (FMConfig::maxPasses) is spent, whichever comes first.
     /// Returns the exact cut weight including nets ignored during
     /// refinement. Requires a 2-way partition.
     Weight refine(Partition& part, const BalanceConstraint& bc, std::mt19937_64& rng) override;
@@ -86,9 +87,6 @@ private:
     /// Per-module move state: bit 0 locked this pass, bit 1 CDIP-blocked.
     char* state_ = nullptr;
     std::int32_t* moveCount_ = nullptr; ///< per-pass moves (relaxed locking)
-    Weight* gains_ = nullptr; ///< fastPassInit: cached per-module gains
-    char* dirty_ = nullptr;   ///< fastPassInit: gain must be recomputed
-    bool gainsValid_ = false; ///< fastPassInit: gains_ holds last pass's values
     GainBucketArray* bucket_[2] = {nullptr, nullptr};
 #if MLPART_CHECK_INVARIANTS
     /// Believed true gain minus displayed bucket gain per module (nonzero

@@ -20,6 +20,7 @@ Weight refineWithFollowupFM(const Hypergraph& h, Refiner& primary, Partition& pa
     FMConfig fm;
     fm.variant = EngineVariant::kFM;
     fm.policy = BucketPolicy::kLifo;
+    fm.maxPasses = kPaperMaxPasses; // part of the Table VII comparators
     FMRefiner followup(h, fm);
     return followup.refine(part, bc, rng);
 }

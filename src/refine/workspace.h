@@ -70,8 +70,8 @@ struct Workspace {
     /// a single load.
     std::vector<char> moveState;
     std::vector<std::int32_t> moveCount;
+    /// Per-module gains of the parallel V-cycle's LP pre-pass.
     std::vector<Weight> gains;
-    std::vector<char> dirty;
     std::vector<FMMove> moves;
     std::vector<ModuleId> lazyInsert;
     /// Pass-start net classification planes (perf::classifyNets): entry
@@ -124,7 +124,6 @@ struct Workspace {
         releaseVector(moveState);
         releaseVector(moveCount);
         releaseVector(gains);
-        releaseVector(dirty);
         releaseVector(moves);
         releaseVector(lazyInsert);
         releaseVector(netSideGain);
@@ -153,7 +152,7 @@ struct Workspace {
         std::size_t n = vectorCapacityBytes(activeNet) + vectorCapacityBytes(pc) +
                         vectorCapacityBytes(lockedPc) + vectorCapacityBytes(netHot) +
                         vectorCapacityBytes(moveState) + vectorCapacityBytes(moveCount) +
-                        vectorCapacityBytes(gains) + vectorCapacityBytes(dirty) +
+                        vectorCapacityBytes(gains) +
                         vectorCapacityBytes(moves) + vectorCapacityBytes(lazyInsert) +
                         vectorCapacityBytes(netSideGain) + vectorCapacityBytes(netCut) +
                         bucket[0].capacityBytes() + bucket[1].capacityBytes() +

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/multilevel.h" // kParallelVCycleRevision
+#include "core/parallel_multistart.h" // engineFingerprintSalt
 #include "robust/checkpoint.h" // crc32, hashCombine
 #include "robust/wire.h"
 
@@ -240,10 +241,7 @@ std::uint64_t requestFingerprint(const JobRequest& r) {
     f = hashCombine(f, bits);
     std::memcpy(&bits, &r.matchingRatio, sizeof(bits));
     f = hashCombine(f, bits);
-    std::uint64_t engineSalt = 0x454e47u;
-    for (const char c : r.engine)
-        engineSalt = hashCombine(engineSalt, static_cast<std::uint8_t>(c));
-    f = hashCombine(f, engineSalt);
+    f = hashCombine(f, engineFingerprintSalt(r.engine, r.k));
     f = hashCombine(f, static_cast<std::uint64_t>(r.runs));
     f = hashCombine(f, r.seed);
     // Parallel-mode marker only: results are bit-identical for every

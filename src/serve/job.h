@@ -113,10 +113,12 @@ struct JobOutcome {
 
 /// Result-cache key: folds a content fingerprint of the instance (inline
 /// text, or the raw bytes of the on-disk file) with every knob that
-/// determines the result — k, tolerance, ratio, engine, runs, seed, and
-/// the parallel-V-cycle mode marker (vcycle_threads > 0, never the thread
-/// count: results are bit-identical for every count >= 1), which is the
-/// parallel algorithms' revision (kParallelVCycleRevision). Returns 0 when
+/// determines the result — k, tolerance, ratio, engine (as
+/// engineFingerprintSalt, which carries the bisection engine's revision
+/// for k = 2), runs, seed, and the parallel-V-cycle mode marker
+/// (vcycle_threads > 0, never the thread count: results are bit-identical
+/// for every count >= 1), which is the parallel algorithms' revision
+/// (kParallelVCycleRevision). Returns 0 when
 /// the request cannot be fingerprinted (missing or oversized instance
 /// file) — callers must treat 0 as "never cache".
 [[nodiscard]] std::uint64_t requestFingerprint(const JobRequest& r);

@@ -56,13 +56,6 @@ Hypergraph loadInstance(const JobRequest& req) {
                 "unrecognized netlist extension '" + ext + "' (want .hgr/.bench/.netD)");
 }
 
-std::uint64_t engineSalt(const std::string& engine) {
-    std::uint64_t salt = 0x454e47u; // "ENG" — must match the mlpart CLI
-    for (const char c : engine)
-        salt = robust::hashCombine(salt, static_cast<std::uint8_t>(c));
-    return salt;
-}
-
 } // namespace
 
 namespace {
@@ -170,7 +163,7 @@ JobOutcome executeJob(const JobRequest& req, const std::atomic<bool>* cancel) {
             ms.deadline.bindCancelFlag(const_cast<std::atomic<bool>*>(cancel));
         ms.checkpointPath = req.checkpointPath;
         ms.resume = req.resume;
-        if (!ms.checkpointPath.empty()) ms.fingerprintSalt = engineSalt(req.engine);
+        if (!ms.checkpointPath.empty()) ms.fingerprintSalt = engineFingerprintSalt(req.engine, k);
 
         const MultiStartOutcome r = parallelMultiStart(h, ml, ms);
 

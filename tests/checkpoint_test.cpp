@@ -117,6 +117,18 @@ TEST(Hashing, ConfigFingerprintRetiresOnlyOlderParallelRevisions) {
     EXPECT_NE(configFingerprint(parallel), 0x7d3f2b618292583aull);
 }
 
+/// Salts the mlpart CLI and serve workers gave checkpoints before the
+/// bisection engine had a revision ("ENG" + engine name). k = 2 runs
+/// change under the pass budget, so their checkpoints must read as stale;
+/// k-way checkpoints must keep resuming.
+TEST(Hashing, EngineSaltRetiresOnlyBisectionCheckpoints) {
+    EXPECT_NE(engineFingerprintSalt("clip", 2), 0x18083c88f3d5af5eull);
+    EXPECT_NE(engineFingerprintSalt("fm", 2), 0xd7e525dcbcedefc9ull);
+    EXPECT_EQ(engineFingerprintSalt("clip", 4), 0x18083c88f3d5af5eull);
+    EXPECT_EQ(engineFingerprintSalt("fm", 4), 0xd7e525dcbcedefc9ull);
+    EXPECT_NE(engineFingerprintSalt("clip", 2), engineFingerprintSalt("fm", 2));
+}
+
 // ----------------------------------------------------------------- format
 
 CheckpointState sampleState() {

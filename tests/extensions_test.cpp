@@ -1,7 +1,7 @@
 // Tests for the paper's Section V "future work" features implemented as
-// library extensions: fast pass reinitialization, iterated V-cycles,
-// LSMC at the coarsest level, asymmetric balance targets, block-
-// constrained matching, and recursive bisection.
+// library extensions: iterated V-cycles, LSMC at the coarsest level,
+// asymmetric balance targets, block-constrained matching, and recursive
+// bisection.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -10,64 +10,11 @@
 #include "core/multilevel.h"
 #include "core/recursive_bisection.h"
 #include "kway/kway_refiner.h"
-#include "refine/fm_refiner.h"
 #include "refine/multistart.h"
 #include "test_util.h"
 
 namespace mlpart {
 namespace {
-
-TEST(FastPassInit, SameInvariantsAsBaseline) {
-    const Hypergraph h = testing::mediumCircuit(500, 61);
-    FMConfig fast;
-    fast.fastPassInit = true;
-    FMRefiner fm(h, fast);
-    const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
-    std::mt19937_64 rng(1);
-    for (int trial = 0; trial < 4; ++trial) {
-        const auto startBc = BalanceConstraint::forTolerance(h, 2, 0.1);
-        Partition p = randomPartition(h, 2, startBc, rng);
-        const Weight before = cutWeight(h, p);
-        const Weight after = fm.refine(p, bc, rng);
-        EXPECT_EQ(after, testing::bruteForceCut(h, p));
-        EXPECT_LE(after, before);
-    }
-}
-
-TEST(FastPassInit, BitIdenticalToBaseline) {
-    // The cached gains must equal freshly computed ones, so the move
-    // sequence — and hence the result — is identical for the same seed.
-    const Hypergraph h = testing::mediumCircuit(400, 67);
-    FMConfig slow;
-    FMConfig fast;
-    fast.fastPassInit = true;
-    FMRefiner a(h, slow), b(h, fast);
-    const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
-    const auto startBc = BalanceConstraint::forTolerance(h, 2, 0.1);
-    for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
-        std::mt19937_64 rng1(seed), rng2(seed);
-        Partition p1 = randomPartition(h, 2, startBc, rng1);
-        Partition p2 = randomPartition(h, 2, startBc, rng2);
-        const Weight c1 = a.refine(p1, bc, rng1);
-        const Weight c2 = b.refine(p2, bc, rng2);
-        EXPECT_EQ(c1, c2) << "seed " << seed;
-        for (ModuleId v = 0; v < h.numModules(); ++v)
-            ASSERT_EQ(p1.part(v), p2.part(v)) << "seed " << seed << " module " << v;
-    }
-}
-
-TEST(FastPassInit, WorksWithClip) {
-    const Hypergraph h = testing::mediumCircuit(400, 71);
-    FMConfig cfg;
-    cfg.variant = EngineVariant::kCLIP;
-    cfg.fastPassInit = true;
-    FMRefiner fm(h, cfg);
-    const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
-    std::mt19937_64 rng(3);
-    Partition p = randomPartition(h, 2, BalanceConstraint::forTolerance(h, 2, 0.1), rng);
-    const Weight after = fm.refine(p, bc, rng);
-    EXPECT_EQ(after, testing::bruteForceCut(h, p));
-}
 
 TEST(VCycles, NeverWorsenAndUsuallyImprove) {
     const Hypergraph h = testing::mediumCircuit(900, 73);

@@ -1,11 +1,13 @@
 // Tests for the FM/CLIP bipartition engine: correctness of the tracked
-// cut, balance preservation, improvement behaviour, and all engine
-// variants (policies, CLIP, lookahead, CDIP, boundary, early exit, PROP).
+// cut, balance preservation, improvement behaviour, the pass budget, and
+// all engine variants (policies, CLIP, lookahead, CDIP, boundary, early
+// exit, PROP).
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "gen/grid_generator.h"
+#include "hypergraph/builder.h"
 #include "refine/fm_refiner.h"
 #include "refine/multistart.h"
 #include "refine/prop_refiner.h"
@@ -248,6 +250,63 @@ TEST(Prop, RejectsBadConfig) {
     bad = {};
     bad.decay = 0.0;
     EXPECT_THROW(PropRefiner(h, bad), std::invalid_argument);
+}
+
+TEST(FMRefiner, PassBudgetStopsAfterFourPasses) {
+    // From this start plain FM keeps improving for 9 passes under the
+    // paper's stopping rule; the default budget stops after the fourth.
+    const Hypergraph h = testing::mediumCircuit(300, 7);
+    const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
+    FMConfig paper;
+    paper.maxPasses = kPaperMaxPasses;
+    FMRefiner budget(h, {}), natural(h, paper);
+    std::mt19937_64 rng1(7), rng2(7);
+    Partition p1 = randomBipartition(h, rng1);
+    Partition p2 = randomBipartition(h, rng2);
+    const Weight budgetCut = budget.refine(p1, bc, rng1);
+    const Weight naturalCut = natural.refine(p2, bc, rng2);
+    EXPECT_EQ(budget.lastPassCount(), 4);
+    EXPECT_GT(natural.lastPassCount(), 5); // its fifth pass still gained
+    EXPECT_LT(naturalCut, budgetCut);
+    EXPECT_EQ(budgetCut, testing::bruteForceCut(h, p1));
+}
+
+/// Every single move here loses a net or gains nothing, yet moving the
+/// pair {p, q} = {0, 1} together frees a weight-3 net. p and q sit on side
+/// 0, q tied to an anchor (2); the big net's three other pins (3-5) sit on
+/// side 1, each tied to an anchor (6-8). Filler pairs and a triple
+/// (9-15 on side 0, 16-19 on side 1) fill each side to 10 modules.
+Hypergraph pairMoveGadget() {
+    HypergraphBuilder b(20);
+    b.addNet({0, 1, 3, 4, 5}, 3);
+    b.addNet({1, 2});
+    for (ModuleId r = 3; r < 6; ++r) b.addNet({r, r + 3});
+    b.addNet({9, 10});
+    b.addNet({11, 12});
+    b.addNet({13, 14, 15});
+    b.addNet({16, 17});
+    b.addNet({18, 19});
+    return std::move(b).build();
+}
+
+TEST(FMRefiner, EarlyExitWaitsForThePassesFirstImprovement) {
+    const Hypergraph h = pairMoveGadget();
+    std::vector<PartId> side(20, 0);
+    for (ModuleId v : {3, 4, 5, 6, 7, 8, 16, 17, 18, 19}) side[static_cast<std::size_t>(v)] = 1;
+    const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
+    FMConfig early;
+    early.earlyExitFraction = 0.04; // 0.8 of a move: the rule fires as soon as it may
+    FMRefiner plain(h, {}), trimmed(h, early);
+    Partition p1(h, 2, side), p2(h, 2, side);
+    const Weight initial = cutWeight(h, p1);
+    std::mt19937_64 rng1(1), rng2(1);
+    ASSERT_LT(plain.refine(p1, bc, rng1), initial); // the pair move is there to find
+    // The pass's first move (p) gains nothing. Cut off there, the pass
+    // would return 0 and end the refinement with the cut unchanged.
+    const Weight cut = trimmed.refine(p2, bc, rng2);
+    EXPECT_LT(cut, initial);
+    EXPECT_EQ(cut, testing::bruteForceCut(h, p2));
+    EXPECT_TRUE(bc.satisfied(p2));
 }
 
 TEST(FMRefiner, DeterministicGivenSeed) {

@@ -4,10 +4,13 @@
 #include <random>
 
 #include "core/multilevel.h"
+#include "gen/benchmark_suite.h"
 #include "gen/grid_generator.h"
+#include "hypergraph/io.h"
 #include "kway/kway_refiner.h"
 #include "refine/fm_refiner.h"
 #include "refine/multistart.h"
+#include "robust/checkpoint.h"
 #include "test_util.h"
 
 namespace mlpart {
@@ -171,6 +174,45 @@ TEST(Multilevel, PreassignmentIsRespected) {
     EXPECT_EQ(r.partition.part(1), 1);
     EXPECT_EQ(r.partition.part(2), 2);
     EXPECT_EQ(r.partition.part(3), 3);
+}
+
+/// Fixed-seed ML CLIP results (R = 0.5, two starts from one rng) under the
+/// paper's stopping rule, as computed before the pass budget existed: the
+/// paper-table binaries must keep reproducing them bit for bit. The
+/// default budget changes at least one of them, so the pins would catch a
+/// paper path that silently fell back to the budget.
+TEST(Multilevel, PaperStoppingRuleReproducesPinnedResults) {
+    struct Pin {
+        const char* circuit;
+        Weight cut[2];
+        std::uint32_t crc[2];
+    };
+    const Pin pins[] = {{"biomed", {55, 56}, {0x8124fb41u, 0x21c0cf70u}},
+                        {"s13207", {63, 65}, {0xb598f0fcu, 0x31eddfbdu}}};
+    FMConfig budget;
+    budget.variant = EngineVariant::kCLIP;
+    FMConfig paper = budget;
+    paper.maxPasses = kPaperMaxPasses;
+    MLConfig cfg;
+    cfg.matchingRatio = 0.5;
+    auto crcOf = [](const Partition& p) {
+        const std::vector<std::uint8_t> blob = encodePartitionBinary(p);
+        return robust::crc32(blob.data(), blob.size());
+    };
+    int budgetDiffers = 0;
+    for (const Pin& pin : pins) {
+        const Hypergraph h = benchmarkInstance(pin.circuit);
+        MultilevelPartitioner mlPaper(cfg, makeFMFactory(paper));
+        MultilevelPartitioner mlBudget(cfg, makeFMFactory(budget));
+        std::mt19937_64 rngPaper(1), rngBudget(1);
+        for (int run = 0; run < 2; ++run) {
+            const MLResult r = mlPaper.run(h, rngPaper);
+            EXPECT_EQ(r.cut, pin.cut[run]) << pin.circuit << " run " << run;
+            EXPECT_EQ(crcOf(r.partition), pin.crc[run]) << pin.circuit << " run " << run;
+            if (crcOf(mlBudget.run(h, rngBudget).partition) != pin.crc[run]) ++budgetDiffers;
+        }
+    }
+    EXPECT_GT(budgetDiffers, 0);
 }
 
 TEST(Multilevel, RejectsBadConfig) {

@@ -46,6 +46,27 @@
 namespace mlpart::serve {
 namespace {
 
+// TSan terminates any forked child that starts a thread (die_after_fork;
+// =0 is unsafe with concurrent forks), so every worker child dies
+// instantly under it — tests that need an OK result from a live worker
+// skip, same policy as the sanitizers.yml serve filter. The kill/restart
+// bit-identity test stays: its oracle runs under the same regime, so the
+// consistency contract is still exercised.
+#if defined(__SANITIZE_THREAD__)
+#define MLPART_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MLPART_TSAN_ACTIVE 1
+#endif
+#endif
+#ifdef MLPART_TSAN_ACTIVE
+#define MLPART_SKIP_NEEDS_LIVE_WORKER() \
+    GTEST_SKIP() << "needs an OK result from a live forked worker; " \
+                    "TSan kills forked children that start threads"
+#else
+#define MLPART_SKIP_NEEDS_LIVE_WORKER() (void)0
+#endif
+
 using robust::Error;
 using robust::StatusCode;
 
@@ -769,6 +790,7 @@ TEST(ServeCancel, CancellingAHungWorkerStillResolvesToCancelled) {
 // ------------------------------------------------------------ worker pool
 
 TEST(ServePool, PoolResultsAreBitIdenticalToForkPerJobAcrossWorkerCounts) {
+    MLPART_SKIP_NEEDS_LIVE_WORKER();
     // The reused-worker half of the crash-containment matrix: pooled
     // workers re-arm the per-job fault spec per request, so attempt
     // patterns — and cut + partition CRC — must match a fresh process per
@@ -880,15 +902,29 @@ TEST(ServeCache, LruEvictsAndCountsExactly) {
     EXPECT_EQ(s.invalidations, 1);
 }
 
-/// Literals written by revision 1 of the parallel V-cycle: a persisted
-/// serial cache entry must still be served after the revision bump, a
-/// parallel one must miss.
+/// Literals written before the bisection engine's pass budget: serial and
+/// parallel k = 2 keys under the paper's stopping rule, and a parallel key
+/// of revision 1 of the parallel V-cycle. The budget changes default k = 2
+/// results in both modes, so every one of them must now miss.
 TEST(ServeCache, FingerprintRetiresOnlyOlderParallelRevisions) {
     JobRequest a = tinyRequest("a");
     a.seed = 42;
-    EXPECT_EQ(requestFingerprint(a), 0x53abe977eb94f5d7ull);
+    EXPECT_NE(requestFingerprint(a), 0x53abe977eb94f5d7ull);
+    EXPECT_EQ(requestFingerprint(a), 0x44839b38db55f42bull);
     a.vcycleThreads = 2;
     EXPECT_NE(requestFingerprint(a), 0x3214c42aadab9f38ull);
+    EXPECT_NE(requestFingerprint(a), 0x31918c5efb5ed901ull);
+}
+
+/// The k-way engine is untouched by the bisection budget: k = 4 keys
+/// written before it stay valid in both modes.
+TEST(ServeCache, FingerprintKeepsKWayKeysAcrossBisectionRevisions) {
+    JobRequest a = tinyRequest("a");
+    a.seed = 42;
+    a.k = 4;
+    EXPECT_EQ(requestFingerprint(a), 0x94fd73069bbad5ceull);
+    a.vcycleThreads = 2;
+    EXPECT_EQ(requestFingerprint(a), 0x71c02ae65ba8a96eull);
 }
 
 TEST(ServeCache, FingerprintFoldsConfigButNotThreadCounts) {
@@ -1182,27 +1218,6 @@ TEST(ServeFrontEnd, AbruptDisconnectCancelsTheClientsJobs) {
 }
 
 // ------------------------------------------ durable serve state (§16)
-
-// TSan terminates any forked child that starts a thread (die_after_fork;
-// =0 is unsafe with concurrent forks), so every worker child dies
-// instantly under it — tests below that need an OK result from a live
-// worker skip, same policy as the sanitizers.yml serve filter. The
-// kill/restart bit-identity test stays: its oracle runs under the same
-// regime, so the consistency contract is still exercised.
-#if defined(__SANITIZE_THREAD__)
-#define MLPART_TSAN_ACTIVE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MLPART_TSAN_ACTIVE 1
-#endif
-#endif
-#ifdef MLPART_TSAN_ACTIVE
-#define MLPART_SKIP_NEEDS_LIVE_WORKER() \
-    GTEST_SKIP() << "needs an OK result from a live forked worker; " \
-                    "TSan kills forked children that start threads"
-#else
-#define MLPART_SKIP_NEEDS_LIVE_WORKER() (void)0
-#endif
 
 struct InjectorGuard {
     ~InjectorGuard() { robust::FaultInjector::instance().disarm(); }

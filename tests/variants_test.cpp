@@ -155,14 +155,13 @@ TEST(KWayLookahead, RejectsBadDepth) {
     EXPECT_THROW(KWayFMRefiner(h, cfg), std::invalid_argument);
 }
 
-TEST(Variants, ComposeWithClipAndFastInit) {
+TEST(Variants, ComposeWithClipRelaxedLockingAndTightening) {
     // The kitchen sink of new options must still satisfy the invariants.
     const Hypergraph h = testing::mediumCircuit(400, 217);
     FMConfig cfg;
     cfg.variant = EngineVariant::kCLIP;
     cfg.movesPerPass = 2;
     cfg.tightenStart = 0.3;
-    cfg.fastPassInit = true;
     FMRefiner fm(h, cfg);
     const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
     std::mt19937_64 rng(11);

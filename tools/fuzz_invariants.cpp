@@ -169,7 +169,10 @@ FMConfig randomFMConfig(std::mt19937_64& rng) {
     cfg.lookahead = static_cast<int>(rng() % 3); // 0, 1, 2
     cfg.cdip = (rng() % 4) == 0;
     cfg.boundaryInit = (rng() % 3) == 0;
-    cfg.fastPassInit = (rng() & 1) != 0;
+    // Pass budgets 1..6 and the paper's natural stop, so capped runs —
+    // including caps that end a tightening schedule early — are audited.
+    const int budget = 1 + static_cast<int>(rng() % 7);
+    cfg.maxPasses = budget <= 6 ? budget : kPaperMaxPasses;
     cfg.movesPerPass = 1 + static_cast<int>(rng() % 2);
     if ((rng() % 3) == 0) cfg.tightenStart = 0.3;
     if ((rng() % 4) == 0) cfg.earlyExitFraction = 0.25;

@@ -2,10 +2,11 @@
 //
 // Runs the Table I synthetic suite (src/gen/benchmark_suite) and/or .hgr
 // files through the paper's default ML configuration (k=2, R=0.5, r=0.1,
-// CLIP engine — the same defaults as `mlpart partition`, so cuts are
-// directly comparable), and reports per-phase wall time (coarsen /
-// initial / refine, from MLResult::timings), end-to-end wall time, peak
-// RSS, levels, and cut statistics. Results go to BENCH_ML.json so every
+// CLIP engine) with the default 4-pass FM budget — the same defaults as
+// `mlpart partition`, so cuts are directly comparable — and reports
+// per-phase wall time (coarsen / initial / refine, from
+// MLResult::timings), end-to-end wall time, peak RSS, levels, and cut
+// statistics. Results go to BENCH_ML.json so every
 // PR leaves a perf trajectory point behind.
 //
 //   mlpart_bench [instances...] [options]

@@ -370,14 +370,9 @@ int cmdPartition(const Args& a) {
     if (ms.checkpointEveryCycle && ms.checkpointPath.empty())
         usage("partition: --checkpoint-every-cycle requires --checkpoint FILE");
     if (ms.checkpointEvery < 1) usage("partition: --checkpoint-every must be >= 1");
-    if (!ms.checkpointPath.empty()) {
-        // The library fingerprints the instance + MLConfig + protocol; the
-        // engine choice is opaque to it (a factory), so fold it in here.
-        std::uint64_t salt = 0x454e47u; // "ENG"
-        for (const char c : engine)
-            salt = robust::hashCombine(salt, static_cast<std::uint8_t>(c));
-        ms.fingerprintSalt = salt;
-    }
+    // The library fingerprints the instance + MLConfig + protocol; the
+    // engine choice is opaque to it (a factory), so fold it in here.
+    if (!ms.checkpointPath.empty()) ms.fingerprintSalt = engineFingerprintSalt(engine, k);
     setPhase("partitioning");
     const MultiStartOutcome out = parallelMultiStart(h, ml, ms);
     logPhaseJson(logJson, "partition", out.seconds);

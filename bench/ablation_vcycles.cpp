@@ -63,7 +63,7 @@ int main() {
                 MLConfig cfg;
                 cfg.k = 4;
                 cfg.coarseningThreshold = 100;
-                MultilevelPartitioner ml(cfg, makeKWayFactory({}));
+                MultilevelPartitioner ml(cfg, makeKWayFactory(bench::paperKWay()));
                 std::mt19937_64 rng(0xAB4);
                 for (int run = 0; run < env.runs; ++run)
                     direct.add(static_cast<double>(ml.run(h, rng).cutNetCount));

@@ -18,6 +18,7 @@
 #include "analysis/table.h"
 #include "gen/benchmark_suite.h"
 #include "hypergraph/hypergraph.h"
+#include "kway/kway_config.h"
 #include "refine/fm_config.h"
 
 namespace mlpart::bench {
@@ -49,6 +50,16 @@ inline CellResult runCell(int runs, const std::function<double(int run)>& runOnc
 inline FMConfig paperFM() {
     FMConfig cfg;
     cfg.maxPasses = kPaperMaxPasses;
+    return cfg;
+}
+
+/// The k-way engine as the paper runs it: KWayConfig defaults with every
+/// pass running until no feasible move is left, in place of the default
+/// move window. table9_quadrisection and ablation_vcycles build their
+/// k-way configurations from this.
+inline KWayConfig paperKWay() {
+    KWayConfig cfg;
+    cfg.moveWindow = kPaperMoveWindow;
     return cfg;
 }
 

@@ -66,7 +66,9 @@ BENCHMARK(BM_RefineProp);
 void BM_RefineKWay(benchmark::State& state) {
     const Hypergraph& h = circuit(0);
     const PartId k = static_cast<PartId>(state.range(0));
-    KWayFMRefiner kway(h, {});
+    KWayConfig cfg;
+    cfg.moveWindow = kPaperMoveWindow;
+    KWayFMRefiner kway(h, cfg);
     const auto startBc = BalanceConstraint::forTolerance(h, k, 0.1);
     const auto bc = BalanceConstraint::forRefinement(h, k, 0.1);
     std::mt19937_64 rng(5);

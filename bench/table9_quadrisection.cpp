@@ -22,7 +22,7 @@ int main() {
     MLConfig mlCfg;
     mlCfg.k = 4;
     mlCfg.coarseningThreshold = 100; // the paper's quadrisection setting
-    KWayConfig kwayCfg;              // sum-of-degrees gains (paper default)
+    const KWayConfig kwayCfg = bench::paperKWay(); // sum-of-degrees gains (paper default)
     KWayConfig kwayClip = kwayCfg;
     kwayClip.clip = true;
 

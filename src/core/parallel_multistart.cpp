@@ -13,6 +13,7 @@
 #include "core/workspace_pool.h"
 #include "hypergraph/io.h"
 #include "hypergraph/stats.h"
+#include "kway/kway_config.h" // kKWayEngineRevision
 #include "refine/fm_config.h" // kBisectionEngineRevision
 #include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
@@ -71,8 +72,7 @@ std::uint64_t engineFingerprintSalt(const std::string& engine, PartId k) {
     std::uint64_t salt = 0x454e47u; // "ENG"
     for (const char c : engine)
         salt = robust::hashCombine(salt, static_cast<std::uint8_t>(c));
-    if (k == 2) salt = robust::hashCombine(salt, kBisectionEngineRevision);
-    return salt;
+    return robust::hashCombine(salt, k == 2 ? kBisectionEngineRevision : kKWayEngineRevision);
 }
 
 MultiStartOutcome parallelMultiStart(const Hypergraph& h, const MultilevelPartitioner& ml,

@@ -87,12 +87,12 @@ struct MultiStartOutcome {
 };
 
 /// Salt for a job that partitions k ways with the named engine (`fm`,
-/// `clip`, or a portfolio engine): the engine name and, for k = 2, the
-/// bisection engine's revision (kBisectionEngineRevision). The mlpart CLI
-/// and serve workers use it as MultiStartConfig::fingerprintSalt, and
-/// serve::requestFingerprint folds it into result-cache keys, so
-/// checkpoints and cached results of an older bisection engine read as
-/// stale while k > 2 ones survive.
+/// `clip`, or a portfolio engine): the engine name and the revision of the
+/// engine that refines it — kBisectionEngineRevision for k = 2,
+/// kKWayEngineRevision for k > 2. The mlpart CLI and serve workers use it
+/// as MultiStartConfig::fingerprintSalt, and serve::requestFingerprint
+/// folds it into result-cache keys, so checkpoints and cached results of
+/// an older engine revision read as stale.
 [[nodiscard]] std::uint64_t engineFingerprintSalt(const std::string& engine, PartId k);
 
 /// Runs `cfg.runs` independent ML V-cycles in parallel and returns the

@@ -124,6 +124,7 @@ KWayFMRefiner::KWayFMRefiner(const Hypergraph& h, KWayConfig cfg) : h_(h), cfg_(
     if (cfg_.tolerance < 0.0 || cfg_.tolerance >= 1.0)
         throw std::invalid_argument("KWayFMRefiner: tolerance must be in [0, 1)");
     if (cfg_.maxNetSize < 2) throw std::invalid_argument("KWayFMRefiner: maxNetSize must be >= 2");
+    if (cfg_.moveWindow < 1) throw std::invalid_argument("KWayFMRefiner: moveWindow must be >= 1");
     if (!cfg_.fixed.empty() && cfg_.fixed.size() != static_cast<std::size_t>(h.numModules()))
         throw std::invalid_argument("KWayFMRefiner: fixed mask size mismatch");
     if (cfg_.lookahead < 0 || cfg_.lookahead > 8)
@@ -381,6 +382,9 @@ Weight KWayFMRefiner::runPass(Partition& part, const BalanceConstraint& bc, std:
     Weight cumGain = 0;
     Weight bestGain = 0;
     std::size_t bestIdx = 0;
+    // CLIP passes are never windowed: concatenation defers their gains.
+    const std::size_t window =
+        cfg_.clip ? std::numeric_limits<std::size_t>::max() : static_cast<std::size_t>(cfg_.moveWindow);
     std::int64_t untilDeadlineCheck = 0;
     while (true) {
         // Cooperative budget: bail between moves; the best-prefix rollback
@@ -473,6 +477,10 @@ Weight KWayFMRefiner::runPass(Partition& part, const BalanceConstraint& bc, std:
             bestGain = cumGain;
             bestIdx = moves.size();
         }
+        // Move window: W moves past the best prefix (or the pass start)
+        // without a new best ends the pass; the rollback below restores
+        // that prefix, exactly as when no feasible move is left.
+        if (moves.size() - bestIdx >= window) break;
     }
     const std::size_t undone = moves.size() - bestIdx;
     if (prof != nullptr) tp = ProfClock::now();

@@ -7,7 +7,9 @@
 // block pin counts (O(deg * k) per neighbour) — simple, exact, and fast
 // enough at quadrisection scales. As in the bipartition engine, the true
 // objective delta is measured from pin counts at move time, so the tracked
-// objective cannot drift.
+// objective cannot drift. A non-CLIP pass ends at its move window
+// (KWayConfig::moveWindow moves past its best prefix) or when no feasible
+// move is left, then rolls back to that prefix.
 #pragma once
 
 #include <memory>

@@ -49,25 +49,28 @@ constexpr int kLaneGenerations = 6;
 }
 
 /// The lanes' refinement engine: bisection FM/CLIP from `fm` for k = 2,
-/// the k-way engine otherwise.
-[[nodiscard]] RefinerFactory makeFactory(const PortfolioConfig& cfg, FMConfig fm = {}) {
+/// the k-way engine from `kw` otherwise.
+[[nodiscard]] RefinerFactory makeFactory(const PortfolioConfig& cfg, FMConfig fm = {},
+                                         KWayConfig kw = {}) {
     if (cfg.k == 2) {
         fm.tolerance = cfg.tolerance;
         if (cfg.clip) fm.variant = EngineVariant::kCLIP;
         return makeFMFactory(fm);
     }
-    KWayConfig kw;
     kw.tolerance = cfg.tolerance;
     kw.clip = cfg.clip;
     return makeKWayFactory(kw);
 }
 
-/// LSMC and two-phase are the paper's comparators (Table VII): their FM
-/// keeps the paper's stopping rule instead of the default pass budget.
+/// LSMC and two-phase are the paper's comparators (Tables VII and IX):
+/// their FM keeps the paper's stopping rule instead of the default pass
+/// budget, and their k-way passes run without the move window.
 [[nodiscard]] RefinerFactory makeComparatorFactory(const PortfolioConfig& cfg) {
     FMConfig fm;
     fm.maxPasses = kPaperMaxPasses;
-    return makeFactory(cfg, fm);
+    KWayConfig kw;
+    kw.moveWindow = kPaperMoveWindow;
+    return makeFactory(cfg, fm, kw);
 }
 
 /// Wraps `base` so every refiner it creates runs under `deadline`.

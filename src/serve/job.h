@@ -115,7 +115,8 @@ struct JobOutcome {
 /// text, or the raw bytes of the on-disk file) with every knob that
 /// determines the result — k, tolerance, ratio, engine (as
 /// engineFingerprintSalt, which carries the bisection engine's revision
-/// for k = 2), runs, seed, and the parallel-V-cycle mode marker
+/// for k = 2 and the k-way engine's for k > 2), runs, seed, and the
+/// parallel-V-cycle mode marker
 /// (vcycle_threads > 0, never the thread count: results are bit-identical
 /// for every count >= 1), which is the parallel algorithms' revision
 /// (kParallelVCycleRevision). Returns 0 when

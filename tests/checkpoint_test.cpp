@@ -118,14 +118,22 @@ TEST(Hashing, ConfigFingerprintRetiresOnlyOlderParallelRevisions) {
 }
 
 /// Salts the mlpart CLI and serve workers gave checkpoints before the
-/// bisection engine had a revision ("ENG" + engine name). k = 2 runs
-/// change under the pass budget, so their checkpoints must read as stale;
-/// k-way checkpoints must keep resuming.
+/// engines had revisions ("ENG" + engine name). k = 2 runs changed under
+/// the bisection pass budget and k > 2 runs under the k-way move window,
+/// so checkpoints with those salts must read as stale. The bisection
+/// revision's own k = 2 salts stay pinned: the k-way revision must not
+/// retire bisection checkpoints.
 TEST(Hashing, EngineSaltRetiresOnlyBisectionCheckpoints) {
     EXPECT_NE(engineFingerprintSalt("clip", 2), 0x18083c88f3d5af5eull);
     EXPECT_NE(engineFingerprintSalt("fm", 2), 0xd7e525dcbcedefc9ull);
-    EXPECT_EQ(engineFingerprintSalt("clip", 4), 0x18083c88f3d5af5eull);
-    EXPECT_EQ(engineFingerprintSalt("fm", 4), 0xd7e525dcbcedefc9ull);
+    EXPECT_EQ(engineFingerprintSalt("clip", 2), 0x80cb206bc97650b2ull);
+    EXPECT_EQ(engineFingerprintSalt("fm", 2), 0xbfbbbaf8996f3f7dull);
+    EXPECT_NE(engineFingerprintSalt("clip", 4), 0x18083c88f3d5af5eull);
+    EXPECT_NE(engineFingerprintSalt("fm", 4), 0xd7e525dcbcedefc9ull);
+    // Both engines are at revision 2, so their salts coincide; k itself
+    // is folded by configFingerprint and serve::requestFingerprint.
+    EXPECT_EQ(engineFingerprintSalt("clip", 4), 0x80cb206bc97650b2ull);
+    EXPECT_EQ(engineFingerprintSalt("fm", 4), 0xbfbbbaf8996f3f7dull);
     EXPECT_NE(engineFingerprintSalt("clip", 2), engineFingerprintSalt("fm", 2));
 }
 

@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "core/multilevel.h"
+#include "gen/benchmark_suite.h"
 #include "gen/grid_generator.h"
+#include "hypergraph/io.h"
 #include "kway/kway_refiner.h"
+#include "robust/wire.h"
 #include "test_util.h"
 
 namespace mlpart {
@@ -168,6 +173,112 @@ TEST(KWay, SumOfDegreesUsuallyNoWorseOnCut) {
     }
     EXPECT_LT(sumA, sumB * 1.5);
     EXPECT_LT(sumB, sumA * 1.5);
+}
+
+// ------------------------------------------------------------ move window
+
+std::uint32_t partitionCrc(const Partition& p) {
+    const std::vector<std::uint8_t> blob = encodePartitionBinary(p);
+    return robust::crc32(blob.data(), blob.size());
+}
+
+/// ML quadrisection as `mlpart partition -k 4` runs it (T = 100, R = 0.5).
+MLConfig quadrisectionConfig() {
+    MLConfig cfg;
+    cfg.k = 4;
+    cfg.coarseningThreshold = 100;
+    cfg.matchingRatio = 0.5;
+    return cfg;
+}
+
+TEST(KWayWindow, RejectsAnEmptyWindow) {
+    const Hypergraph h = testing::tinyPath();
+    KWayConfig bad;
+    bad.moveWindow = 0;
+    EXPECT_THROW(KWayFMRefiner(h, bad), std::invalid_argument);
+}
+
+/// A windowed pass stops at most W moves past its best prefix, so each
+/// pass rolls back at most W moves. Without the window, this run's finest
+/// level makes 19.4k moves where the bound allows 1.6k.
+TEST(KWayWindow, PassesRollBackAtMostTheWindow) {
+    const Hypergraph h = benchmarkInstance("s15850");
+    MLConfig cfg = quadrisectionConfig();
+    cfg.profileRefinement = true;
+    const KWayConfig kw;
+    MultilevelPartitioner ml(cfg, makeKWayFactory(kw));
+    std::mt19937_64 rng(1);
+    const MLResult r = ml.run(h, rng);
+    const std::int64_t window = kw.moveWindow;
+    int checked = 0;
+    for (const MLLevelProfile& lp : r.timings.levels) {
+        if (lp.modules <= 2 * window) continue;
+        ++checked;
+        const refine::RefineProfile& p = lp.refine;
+        EXPECT_LE(p.moves, (p.moves - p.rollbacks) + p.passes * window)
+            << "level " << lp.level << " (" << lp.modules << " modules)";
+    }
+    EXPECT_GT(checked, 0);
+}
+
+/// Fixed-seed ML quadrisection results with default configurations (two
+/// starts from one rng), as computed before the move window existed. With
+/// the default engine (mid-k4's circuits) every improvement comes well
+/// inside the window, so the window must leave them bit-identical. CLIP
+/// passes are never windowed; a window would change the CLIP pin's
+/// second run.
+TEST(KWayWindow, DefaultReproducesFullPassResults) {
+    struct Pin {
+        const char* circuit;
+        bool clip;
+        Weight cut[2];
+        std::uint32_t crc[2];
+    };
+    const Pin pins[] = {{"s15850", false, {174, 171}, {0x91158412u, 0xad1acac4u}},
+                        {"avqsmall", false, {422, 381}, {0x3abc3edau, 0xc8b2483eu}},
+                        {"test03", true, {170, 144}, {0x74f5b654u, 0xbf8f4f53u}}};
+    for (const Pin& pin : pins) {
+        const Hypergraph h = benchmarkInstance(pin.circuit);
+        KWayConfig kw;
+        kw.clip = pin.clip;
+        MultilevelPartitioner ml(quadrisectionConfig(), makeKWayFactory(kw));
+        const std::string label = std::string(pin.circuit) + (pin.clip ? " clip" : "");
+        std::mt19937_64 rng(1);
+        for (int run = 0; run < 2; ++run) {
+            const MLResult r = ml.run(h, rng);
+            EXPECT_EQ(r.cut, pin.cut[run]) << label << " run " << run;
+            EXPECT_EQ(partitionCrc(r.partition), pin.crc[run]) << label << " run " << run;
+        }
+    }
+}
+
+/// Flat k-way FM from random partitions, as table9_quadrisection's FM4
+/// column runs it (avqsmall at its 0.4 scale, two runs from one rng),
+/// under kPaperMoveWindow: the results computed before the window existed.
+/// From a random start improvements come late, so the default window
+/// changes them, and the pins catch a paper path that silently fell back
+/// to the window.
+TEST(KWayWindow, PaperMoveWindowReproducesPinnedResults) {
+    const Weight pinnedCut[2] = {2095, 2091};
+    const std::uint32_t pinnedCrc[2] = {0xcfb03fc5u, 0xe91937aau};
+    const Hypergraph h = benchmarkInstance("avqsmall", 0.4);
+    const auto startBc = BalanceConstraint::forTolerance(h, 4, 0.1);
+    const auto bc = BalanceConstraint::forRefinement(h, 4, 0.1);
+    KWayConfig paper;
+    paper.moveWindow = kPaperMoveWindow;
+    KWayFMRefiner paperEngine(h, paper);
+    KWayFMRefiner defaultEngine(h, KWayConfig{});
+    std::mt19937_64 rngPaper(0x903), rngDefault(0x903);
+    int defaultDiffers = 0;
+    for (int run = 0; run < 2; ++run) {
+        Partition p = randomPartition(h, 4, startBc, rngPaper);
+        EXPECT_EQ(paperEngine.refine(p, bc, rngPaper), pinnedCut[run]) << "run " << run;
+        EXPECT_EQ(partitionCrc(p), pinnedCrc[run]) << "run " << run;
+        Partition d = randomPartition(h, 4, startBc, rngDefault);
+        defaultEngine.refine(d, bc, rngDefault);
+        if (partitionCrc(d) != pinnedCrc[run]) ++defaultDiffers;
+    }
+    EXPECT_GT(defaultDiffers, 0);
 }
 
 } // namespace

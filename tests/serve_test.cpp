@@ -916,15 +916,23 @@ TEST(ServeCache, FingerprintRetiresOnlyOlderParallelRevisions) {
     EXPECT_NE(requestFingerprint(a), 0x31918c5efb5ed901ull);
 }
 
-/// The k-way engine is untouched by the bisection budget: k = 4 keys
-/// written before it stay valid in both modes.
+/// k = 4 keys written before the k-way engine had a revision: the move
+/// window changes default k-way results, so they must miss in both modes.
+/// The k-way revision leaves bisection keys alone: the k = 2 keys of the
+/// current bisection revision stay pinned.
 TEST(ServeCache, FingerprintKeepsKWayKeysAcrossBisectionRevisions) {
     JobRequest a = tinyRequest("a");
     a.seed = 42;
+    EXPECT_EQ(requestFingerprint(a), 0x44839b38db55f42bull);
+    JobRequest parallel = a;
+    parallel.vcycleThreads = 2;
+    EXPECT_EQ(requestFingerprint(parallel), 0x488efe063d869fe0ull);
     a.k = 4;
-    EXPECT_EQ(requestFingerprint(a), 0x94fd73069bbad5ceull);
+    EXPECT_NE(requestFingerprint(a), 0x94fd73069bbad5ceull);
+    EXPECT_EQ(requestFingerprint(a), 0xede984f739307251ull);
     a.vcycleThreads = 2;
-    EXPECT_EQ(requestFingerprint(a), 0x71c02ae65ba8a96eull);
+    EXPECT_NE(requestFingerprint(a), 0x71c02ae65ba8a96eull);
+    EXPECT_EQ(requestFingerprint(a), 0x15c490a041d39585ull);
 }
 
 TEST(ServeCache, FingerprintFoldsConfigButNotThreadCounts) {

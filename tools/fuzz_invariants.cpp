@@ -187,6 +187,10 @@ KWayConfig randomKWayConfig(std::mt19937_64& rng) {
     cfg.policy = policies[rng() % 3];
     cfg.clip = (rng() & 1) != 0;
     cfg.lookahead = static_cast<int>(rng() % 3);
+    // Fuzzed instances stay far below the default window, so small windows
+    // are what make the audits see passes that stop at it.
+    const int windows[] = {1, 8, 64, KWayConfig{}.moveWindow, kPaperMoveWindow};
+    cfg.moveWindow = windows[rng() % 5];
     return cfg;
 }
 

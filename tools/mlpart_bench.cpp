@@ -3,7 +3,8 @@
 // Runs the Table I synthetic suite (src/gen/benchmark_suite) and/or .hgr
 // files through the paper's default ML configuration (k=2, R=0.5, r=0.1,
 // CLIP engine) with the default 4-pass FM budget — the same defaults as
-// `mlpart partition`, so cuts are directly comparable — and reports
+// `mlpart partition`, so cuts are directly comparable — or, with -k K > 2,
+// through ML K-way partitioning (T = 100, default KWayConfig), and reports
 // per-phase wall time (coarsen / initial / refine, from
 // MLResult::timings), end-to-end wall time, peak RSS, levels, and cut
 // statistics. Results go to BENCH_ML.json so every
@@ -28,7 +29,12 @@
 //                     named <instance>@vtT. Sweep rows never exist in the
 //                     baseline, so the regression gate still judges only
 //                     the primary rows.
-//     --engine E      fm | clip (default clip)
+//     -k K            blocks (default 2). K > 2 runs the k-way engine with
+//                     T = 100, as mlpart_serve and the bench/e2e mid-k4
+//                     workload do, and names every row <instance>@kK, so
+//                     --compare never judges it against k = 2 baselines
+//     --engine E      fm | clip (default clip at k = 2; fm at k > 2, the
+//                     default KWayConfig)
 //     --portfolio     additionally run the fault-isolated engine portfolio
 //                     (DESIGN.md §15) on every instance, emitting an extra
 //                     <instance>@portfolio row (winner's cut / wall time)
@@ -39,9 +45,10 @@
 //                     gate still judges only the primary rows.
 //     --scale X       synthetic-instance scale in (0,1] (default 1)
 //     --profile       per-level refinement profile (pass/move/rollback
-//                     counts, bucket-build vs select vs apply vs rollback
-//                     wall time) per instance; also emitted into the JSON.
-//                     Observation only — cuts are unchanged.
+//                     counts, rolled-back moves per pass, bucket-build vs
+//                     select vs apply vs rollback wall time) per instance;
+//                     also emitted into the JSON. Observation only — cuts
+//                     are unchanged.
 //     -o FILE         output JSON (default BENCH_ML.json)
 //     --compare FILE  baseline JSON: exit 1 if any shared instance's
 //                     wall_sec regressed more than --max-regression, or
@@ -78,6 +85,7 @@
 #include "hypergraph/io.h"
 #include "hypergraph/stats.h"
 #include "core/multilevel.h"
+#include "kway/kway_refiner.h"
 #include "perf/simd.h"
 #include "portfolio/portfolio.h"
 #include "refine/multistart.h"
@@ -130,7 +138,8 @@ struct Options {
     int threads = 1;
     int vcycleThreads = 0;
     std::vector<int> vcycleSweep;
-    std::string engine = "clip";
+    PartId k = 2;
+    std::string engine; ///< empty until parsed: clip at k = 2, fm at k > 2
     double scale = 1.0;
     bool profile = false;
     bool portfolio = false;
@@ -144,7 +153,7 @@ struct Options {
     if (!msg.empty()) std::cerr << "error: " << msg << "\n";
     std::cerr << "usage: mlpart_bench [instances...] [--quick|--full] [--runs N] [--seed S]\n"
                  "                    [--threads T] [--vcycle-threads T] [--vcycle-sweep \"1,2,4\"]\n"
-                 "                    [--engine fm|clip] [--scale X] [--profile] [--portfolio]\n"
+                 "                    [-k K] [--engine fm|clip] [--scale X] [--profile] [--portfolio]\n"
                  "                    [-o FILE] [--compare BASELINE.json] [--max-regression PCT]\n"
                  "                    [--max-rss-regression PCT]\n";
     std::exit(2);
@@ -171,6 +180,7 @@ Options parseOptions(int argc, char** argv) {
             while (std::getline(ss, tok, ','))
                 if (!tok.empty()) o.vcycleSweep.push_back(std::stoi(tok));
         }
+        else if (arg == "-k") o.k = static_cast<PartId>(std::stoi(value()));
         else if (arg == "--engine") o.engine = value();
         else if (arg == "--scale") o.scale = std::stod(value());
         else if (arg == "--profile") o.profile = true;
@@ -188,6 +198,8 @@ Options parseOptions(int argc, char** argv) {
     if (o.vcycleThreads < 0) usage("--vcycle-threads must be >= 0");
     for (const int t : o.vcycleSweep)
         if (t < 1) usage("--vcycle-sweep values must be >= 1");
+    if (o.k < 2) usage("-k must be >= 2");
+    if (o.engine.empty()) o.engine = o.k == 2 ? "clip" : "fm";
     if (o.engine != "fm" && o.engine != "clip") usage("--engine must be fm or clip");
     if (o.instances.empty()) {
         if (quick) o.instances = {"balu", "primary1", "struct"};
@@ -203,14 +215,25 @@ Options parseOptions(int argc, char** argv) {
 InstanceResult benchInstance(const std::string& name, const Hypergraph& h, const Options& o,
                              int vcycleThreads) {
     MLConfig cfg;
+    cfg.k = o.k;
     cfg.matchingRatio = 0.5;
     cfg.tolerance = 0.1;
+    if (o.k > 2) cfg.coarseningThreshold = 100;
     cfg.vcycleThreads = vcycleThreads;
     cfg.profileRefinement = o.profile;
-    FMConfig fm;
-    fm.tolerance = cfg.tolerance;
-    if (o.engine == "clip") fm.variant = EngineVariant::kCLIP;
-    MultilevelPartitioner ml(cfg, makeFMFactory(fm));
+    RefinerFactory factory;
+    if (o.k == 2) {
+        FMConfig fm;
+        fm.tolerance = cfg.tolerance;
+        if (o.engine == "clip") fm.variant = EngineVariant::kCLIP;
+        factory = makeFMFactory(fm);
+    } else {
+        KWayConfig kw;
+        kw.tolerance = cfg.tolerance;
+        kw.clip = o.engine == "clip";
+        factory = makeKWayFactory(kw);
+    }
+    MultilevelPartitioner ml(cfg, factory);
 
     const HypergraphStats stats = computeStats(h);
     InstanceResult r;
@@ -296,7 +319,7 @@ std::int64_t medianOf(std::vector<std::int64_t> v) {
 InstanceResult benchPortfolio(const std::string& name, const Hypergraph& h, const Options& o,
                               EngineAgg (&agg)[portfolio::kEngineCount]) {
     portfolio::PortfolioConfig pc;
-    pc.k = 2;
+    pc.k = o.k;
     pc.tolerance = 0.1;
     pc.matchingRatio = 0.5;
     pc.clip = o.engine == "clip";
@@ -360,23 +383,30 @@ refine::RefineProfile profileTotal(const InstanceResult& r) {
     return total;
 }
 
+/// Rolled-back moves per pass: at most the move window on every level of
+/// a windowed k-way run.
+double rollbacksPerPass(const refine::RefineProfile& p) {
+    return p.passes > 0 ? static_cast<double>(p.rollbacks) / static_cast<double>(p.passes) : 0.0;
+}
+
 void printProfile(const InstanceResult& r) {
-    std::printf("  %-7s %9s %7s %9s %10s %9s %9s %9s %9s\n", "level", "modules", "passes",
-                "moves", "rollbacks", "build_s", "select_s", "apply_s", "undo_s");
+    std::printf("  %-7s %9s %7s %9s %10s %9s %9s %9s %9s %9s\n", "level", "modules", "passes",
+                "moves", "rollbacks", "undo/pass", "build_s", "select_s", "apply_s", "undo_s");
     // Coarsest level first — the order refinement actually runs in.
     for (auto it = r.profByLevel.rbegin(); it != r.profByLevel.rend(); ++it) {
         const MLLevelProfile& lp = it->second;
-        std::printf("  %-7d %9d %7lld %9lld %10lld %9.3f %9.3f %9.3f %9.3f\n", lp.level,
+        std::printf("  %-7d %9d %7lld %9lld %10lld %9.1f %9.3f %9.3f %9.3f %9.3f\n", lp.level,
                     lp.modules, static_cast<long long>(lp.refine.passes),
                     static_cast<long long>(lp.refine.moves),
-                    static_cast<long long>(lp.refine.rollbacks), lp.refine.bucketBuildSec,
-                    lp.refine.selectSec, lp.refine.applySec, lp.refine.rollbackSec);
+                    static_cast<long long>(lp.refine.rollbacks), rollbacksPerPass(lp.refine),
+                    lp.refine.bucketBuildSec, lp.refine.selectSec, lp.refine.applySec,
+                    lp.refine.rollbackSec);
     }
     const refine::RefineProfile t = profileTotal(r);
-    std::printf("  %-7s %9s %7lld %9lld %10lld %9.3f %9.3f %9.3f %9.3f\n", "total", "",
+    std::printf("  %-7s %9s %7lld %9lld %10lld %9.1f %9.3f %9.3f %9.3f %9.3f\n", "total", "",
                 static_cast<long long>(t.passes), static_cast<long long>(t.moves),
-                static_cast<long long>(t.rollbacks), t.bucketBuildSec, t.selectSec, t.applySec,
-                t.rollbackSec);
+                static_cast<long long>(t.rollbacks), rollbacksPerPass(t), t.bucketBuildSec,
+                t.selectSec, t.applySec, t.rollbackSec);
 }
 
 void writeJson(const std::string& path, const Options& o, const std::vector<InstanceResult>& rs) {
@@ -386,6 +416,7 @@ void writeJson(const std::string& path, const Options& o, const std::vector<Inst
     j << "{\n"
       << "  \"schema\": \"mlpart-bench-v1\",\n"
       << "  \"engine\": \"" << o.engine << "\",\n"
+      << "  \"k\": " << o.k << ",\n"
       << "  \"simd_tier\": \"" << perf::toString(perf::activeTier()) << "\",\n"
       << "  \"seed\": " << o.seed << ",\n"
       << "  \"threads\": " << o.threads << ",\n"
@@ -491,8 +522,8 @@ int main(int argc, char** argv) {
         const bool isFile = inst.find(".hgr") != std::string::npos ||
                             std::filesystem::exists(inst);
         Hypergraph h = isFile ? readHgrFile(inst) : benchmarkInstance(inst, o.scale);
-        const std::string name =
-            isFile ? std::filesystem::path(inst).stem().string() : inst;
+        const std::string name = (isFile ? std::filesystem::path(inst).stem().string() : inst) +
+                                 (o.k > 2 ? "@k" + std::to_string(o.k) : "");
         std::cout << name << " (" << h.numModules() << " modules, " << h.numNets()
                   << " nets): " << std::flush;
         InstanceResult r = benchInstance(name, h, o, o.vcycleThreads);

@@ -86,6 +86,12 @@ struct MultiStartOutcome {
     [[nodiscard]] bool ok() const { return bestRun >= 0; }
 };
 
+/// The engine a job that names none runs: `clip` at k = 2 (the paper's
+/// ML_C) and `fm` at k > 2, the paper's quadrisection engine (Sanchis
+/// k-way FM); k-way CLIP cuts run 2-3x worse. The mlpart CLI's --engine
+/// and a serve request's "engine" both default through it.
+[[nodiscard]] inline const char* defaultEngine(PartId k) { return k == 2 ? "clip" : "fm"; }
+
 /// Salt for a job that partitions k ways with the named engine (`fm`,
 /// `clip`, or a portfolio engine): the engine name and the revision of the
 /// engine that refines it — kBisectionEngineRevision for k = 2,

@@ -22,6 +22,17 @@ namespace {
 /// per block in a uint64). Larger k falls back to per-target moveGain().
 constexpr PartId kMaskSweepMaxK = 64;
 
+/// One net's term of a move's objective reduction, in units of the net's
+/// weight: a pin leaves a block holding cFrom of the net's pins for one
+/// holding cTo, and the net spans sp blocks before the move.
+inline int objectiveTerm(bool netCut, PartId sp, std::int32_t cFrom, std::int32_t cTo) {
+    const int emptied = cFrom == 1 ? 1 : 0;
+    const int opened = cTo == 0 ? 1 : 0;
+    if (!netCut) return emptied - opened;
+    const PartId spAfter = sp - emptied + opened;
+    return (sp > 1 ? 1 : 0) - (spAfter > 1 ? 1 : 0);
+}
+
 /// Profiling clock helper: seconds since `t0`, advancing it, so
 /// consecutive calls carve the timeline into disjoint segments.
 using ProfClock = std::chrono::steady_clock;
@@ -75,6 +86,24 @@ void KWayFMRefiner::auditGainState(const Partition& part, const char* where) con
             r.fail("net " + std::to_string(e) + ": tracked span " +
                    std::to_string(span_[static_cast<std::size_t>(e)]) + " != recomputed " +
                    std::to_string(sp));
+        if (!trackLockedPins_) continue;
+        // Locked pins are this pass's moves: locked_ without the fixed modules.
+        std::fill(scratch.begin(), scratch.end(), 0);
+        for (ModuleId u : h_.pins(e)) {
+            const std::size_t ui = static_cast<std::size_t>(u);
+            if (locked_[ui] && (cfg_.fixed.empty() || !cfg_.fixed[ui]))
+                scratch[static_cast<std::size_t>(part.part(u))]++;
+        }
+        for (PartId p = 0; p < k_; ++p) {
+            ++r.factsChecked;
+            const std::int32_t tracked =
+                lockedCounts_[static_cast<std::size_t>(e) * static_cast<std::size_t>(k_) +
+                              static_cast<std::size_t>(p)];
+            if (scratch[static_cast<std::size_t>(p)] != tracked)
+                r.fail("net " + std::to_string(e) + " block " + std::to_string(p) +
+                       ": tracked locked pins " + std::to_string(tracked) + " != recomputed " +
+                       std::to_string(scratch[static_cast<std::size_t>(p)]));
+        }
     }
 
     const bool netCut = cfg_.objective == KWayObjective::kNetCut;
@@ -129,6 +158,7 @@ KWayFMRefiner::KWayFMRefiner(const Hypergraph& h, KWayConfig cfg) : h_(h), cfg_(
         throw std::invalid_argument("KWayFMRefiner: fixed mask size mismatch");
     if (cfg_.lookahead < 0 || cfg_.lookahead > 8)
         throw std::invalid_argument("KWayFMRefiner: lookahead depth out of range");
+    trackLockedPins_ = cfg_.lookahead >= 2; // lockedCounts_ feeds only lookaheadGain()
     minArea_ = std::numeric_limits<Area>::max();
     for (ModuleId v = 0; v < h_.numModules(); ++v) minArea_ = std::min(minArea_, h_.area(v));
 }
@@ -146,12 +176,15 @@ void KWayFMRefiner::initNetState(const Partition& part) {
     const std::size_t mSz = static_cast<std::size_t>(m);
     ws.kActiveNet.assign(mSz, 0);
     ws.kCounts.assign(mSz * static_cast<std::size_t>(k_), 0);
-    ws.kLockedCounts.assign(mSz * static_cast<std::size_t>(k_), 0);
     ws.kSpan.assign(mSz, 0);
     activeNet_ = ws.kActiveNet.data();
     counts_ = ws.kCounts.data();
-    lockedCounts_ = ws.kLockedCounts.data();
     span_ = ws.kSpan.data();
+    if (trackLockedPins_) {
+        // Zeroed at every pass start by refine().
+        ws.kLockedCounts.resize(mSz * static_cast<std::size_t>(k_));
+        lockedCounts_ = ws.kLockedCounts.data();
+    }
     cnt1Mask_ = cnt0Mask_ = nullptr;
     if (k_ <= kMaskSweepMaxK) {
         // Rewritten wholesale by every buildBuckets() call: grow, no clear.
@@ -179,16 +212,12 @@ void KWayFMRefiner::initNetState(const Partition& part) {
 
 Weight KWayFMRefiner::moveGain(ModuleId v, PartId q, const Partition& part) const {
     const PartId p = part.part(v);
+    const bool netCut = cfg_.objective == KWayObjective::kNetCut;
     Weight g = 0;
     for (NetId e : h_.nets(v)) {
         const std::size_t ei = static_cast<std::size_t>(e);
         if (!activeNet_[ei]) continue;
-        const PartId sp = span_[ei];
-        const PartId spAfter = sp - (count(e, p) == 1 ? 1 : 0) + (count(e, q) == 0 ? 1 : 0);
-        if (cfg_.objective == KWayObjective::kNetCut)
-            g += h_.netWeight(e) * ((sp > 1 ? 1 : 0) - (spAfter > 1 ? 1 : 0));
-        else
-            g += h_.netWeight(e) * static_cast<Weight>(sp - spAfter);
+        g += h_.netWeight(e) * objectiveTerm(netCut, span_[ei], count(e, p), count(e, q));
     }
     return g;
 }
@@ -284,37 +313,76 @@ void KWayFMRefiner::buildBuckets(const Partition& part) {
                 if (p != q) bucket(p, q).clipConcatenate();
 }
 
-void KWayFMRefiner::refreshModuleGains(ModuleId v, const Partition& part) {
-    const PartId p = part.part(v);
-    for (PartId q = 0; q < k_; ++q) {
-        if (q == p) continue;
-        GainBucketArray& b = bucket(p, q);
-        if (!b.contains(v)) continue;
-        // Apply the change in *real* gain as a delta so CLIP's relative
-        // ordering semantics are preserved.
-        const Weight real = moveGain(v, q, part);
-        const Weight stored = realGain_[static_cast<std::size_t>(v) * static_cast<std::size_t>(k_) +
-                                        static_cast<std::size_t>(q)];
-        if (real != stored) {
-            b.adjustGain(v, real - stored);
-            realGain_[static_cast<std::size_t>(v) * static_cast<std::size_t>(k_) +
-                      static_cast<std::size_t>(q)] = real;
-        }
-    }
-}
-
 Weight KWayFMRefiner::applyMove(ModuleId v, PartId to, Partition& part) {
+    // One traversal of v's active nets updates the pin counts and, from
+    // each net's pre-move counts cf = count(e, from), ct = count(e, to),
+    // accumulates the gain changes of its free pins. Each first-touched
+    // neighbour gets a delta row: row[k] toward every target, row[q]
+    // toward q alone. A net with cf > 2 and ct > 1 changes no gain and no
+    // span, but its pins still take their first-touch slots, so the
+    // bucket updates below run in the order of a from-scratch refresh.
     const PartId from = part.part(v);
-    // True objective delta, from pin counts before the update.
-    const Weight delta = moveGain(v, to, part);
+    const bool netCut = cfg_.objective == KWayObjective::kNetCut;
+    const std::size_t kSz = static_cast<std::size_t>(k_);
+    const std::size_t stride = kSz + 1;
+    std::vector<ModuleId>& touched = ws_->kTouchList;
+    std::vector<Weight>& deltas = ws_->kGainDelta;
+    touched.clear();
+    deltas.clear();
+    Weight delta = 0; // true objective delta of the move
     for (NetId e : h_.nets(v)) {
         const std::size_t ei = static_cast<std::size_t>(e);
         if (!activeNet_[ei]) continue;
-        if (count(e, from) == 1) span_[ei]--;
-        if (count(e, to) == 0) span_[ei]++;
-        count(e, from)--;
-        count(e, to)++;
-        lockedCounts_[ei * static_cast<std::size_t>(k_) + static_cast<std::size_t>(to)]++;
+        const std::int32_t cf = count(e, from);
+        const std::int32_t ct = count(e, to);
+        const PartId sp = span_[ei];
+        const PartId spAfter = sp - (cf == 1 ? 1 : 0) + (ct == 0 ? 1 : 0);
+        const Weight w = h_.netWeight(e);
+        delta += w * objectiveTerm(netCut, sp, cf, ct);
+        span_[ei] = spAfter;
+        count(e, from) = cf - 1;
+        count(e, to) = ct + 1;
+        if (trackLockedPins_) lockedCounts_[ei * kSz + static_cast<std::size_t>(to)]++;
+
+        const bool changes = cf <= 2 || ct <= 1;
+        // Sum of degrees, closed form: the pin left in `from` (cf = 2)
+        // gains w toward every target, the pin already in `to` (ct = 1)
+        // loses w toward every target; pins outside `from` lose w toward
+        // it when it empties (cf = 1), pins outside `to` gain w toward it
+        // when it was empty (ct = 0). Pins inside `from` (`to`) can only
+        // see cf >= 2 (ct >= 1), so the last two apply to every pin.
+        const Weight inFrom = cf == 2 ? w : 0;
+        const Weight inTo = ct == 1 ? -w : 0;
+        const Weight towardFrom = cf == 1 ? -w : 0;
+        const Weight towardTo = ct == 0 ? w : 0;
+        for (ModuleId u : h_.pins(e)) {
+            const std::size_t ui = static_cast<std::size_t>(u);
+            if (u == v || locked_[ui]) continue;
+            std::uint32_t slot = touchSlot_[ui];
+            if (slot == 0) {
+                touched.push_back(u);
+                slot = static_cast<std::uint32_t>(touched.size());
+                touchSlot_[ui] = slot;
+                deltas.resize(deltas.size() + stride); // zeroed row
+            }
+            if (!changes) continue;
+            Weight* row = deltas.data() + static_cast<std::size_t>(slot - 1) * stride;
+            const PartId p = part.part(u);
+            if (netCut) {
+                // The net's term of (u -> q) after the move minus before.
+                const std::int32_t* c = &count(e, 0);
+                auto before = [&](PartId x) { return c[x] + (x == from ? 1 : 0) - (x == to ? 1 : 0); };
+                for (PartId q = 0; q < k_; ++q) {
+                    if (q == p) continue;
+                    row[q] += w * (objectiveTerm(true, spAfter, c[p], c[q]) -
+                                   objectiveTerm(true, sp, before(p), before(q)));
+                }
+            } else {
+                row[kSz] += p == from ? inFrom : (p == to ? inTo : 0);
+                row[from] += towardFrom;
+                row[to] += towardTo;
+            }
+        }
     }
     part.move(h_, v, to);
     locked_[static_cast<std::size_t>(v)] = 1;
@@ -324,15 +392,20 @@ Weight KWayFMRefiner::applyMove(ModuleId v, PartId to, Partition& part) {
     }
     curObjective_ -= delta;
 
-    // Refresh every free neighbour's gains (deduplicated via epoch marks).
-    ++epoch_;
-    for (NetId e : h_.nets(v)) {
-        if (!activeNet_[static_cast<std::size_t>(e)]) continue;
-        for (ModuleId u : h_.pins(e)) {
-            const std::size_t ui = static_cast<std::size_t>(u);
-            if (u == v || locked_[ui] || touched_[ui] == epoch_) continue;
-            touched_[ui] = epoch_;
-            refreshModuleGains(u, part);
+    // Apply the real-gain changes as deltas (so CLIP's relative ordering
+    // is preserved): neighbours in first-touch order, targets ascending.
+    for (std::size_t i = 0; i < touched.size(); ++i) {
+        const ModuleId u = touched[i];
+        const std::size_t ui = static_cast<std::size_t>(u);
+        touchSlot_[ui] = 0;
+        const PartId p = part.part(u);
+        const Weight* row = deltas.data() + i * stride;
+        for (PartId q = 0; q < k_; ++q) {
+            if (q == p) continue;
+            const Weight d = row[kSz] + row[q];
+            if (d == 0) continue;
+            bucket(p, q).adjustGain(u, d);
+            realGain_[ui * kSz + static_cast<std::size_t>(q)] += d;
         }
     }
     return delta;
@@ -350,7 +423,8 @@ void KWayFMRefiner::undoMoves(std::size_t n, Partition& part) {
             if (count(e, rec.from) == 0) span_[ei]++;
             count(e, rec.to)--;
             count(e, rec.from)++;
-            lockedCounts_[ei * static_cast<std::size_t>(k_) + static_cast<std::size_t>(rec.to)]--;
+            if (trackLockedPins_)
+                lockedCounts_[ei * static_cast<std::size_t>(k_) + static_cast<std::size_t>(rec.to)]--;
         }
         part.move(h_, rec.v, rec.from);
         locked_[static_cast<std::size_t>(rec.v)] = 0;
@@ -363,10 +437,6 @@ Weight KWayFMRefiner::runPass(Partition& part, const BalanceConstraint& bc, std:
     refine::RefineProfile* const prof = profile_;
     ProfClock::time_point tp{};
     if (prof != nullptr) tp = ProfClock::now();
-    // The real-gain cache (CLIP delta base) is filled by buildBuckets in
-    // the same sweep that computes the bucket priorities; bind it first.
-    ws_->kRealGain.assign(static_cast<std::size_t>(h_.numModules()) * static_cast<std::size_t>(k_), 0);
-    realGain_ = ws_->kRealGain.data();
     buildBuckets(part);
     if (prof != nullptr) {
         prof->bucketBuildSec += secondsSince(tp);
@@ -501,10 +571,14 @@ Weight KWayFMRefiner::refine(Partition& part, const BalanceConstraint& bc, std::
     const ModuleId n = h_.numModules();
     const std::size_t nSz = static_cast<std::size_t>(n);
     ws.kLocked.assign(nSz, 0);
-    ws.kTouched.assign(nSz, 0);
+    ws.kTouchSlot.assign(nSz, 0);
     locked_ = ws.kLocked.data();
-    touched_ = ws.kTouched.data();
-    epoch_ = 0;
+    touchSlot_ = ws.kTouchSlot.data();
+    // The real-gain cache (CLIP delta base): every pass's buildBuckets
+    // writes each entry a later read sees, so it only grows.
+    const std::size_t gainLen = nSz * static_cast<std::size_t>(k_);
+    if (ws.kRealGain.size() < gainLen) ws.kRealGain.resize(gainLen);
+    realGain_ = ws.kRealGain.data();
     ws.kBuckets.resize(static_cast<std::size_t>(k_) * static_cast<std::size_t>(k_));
     buckets_ = ws.kBuckets.data();
     // All k*(k-1) directed bucket structures bind their head/tail lists to
@@ -533,6 +607,11 @@ Weight KWayFMRefiner::refine(Partition& part, const BalanceConstraint& bc, std::
         // Pre-assigned (fixed) modules stay locked through every pass.
         if (cfg_.fixed.empty()) std::fill(locked_, locked_ + nSz, 0);
         else std::copy(cfg_.fixed.begin(), cfg_.fixed.end(), locked_);
+        // Locked pins are the moves of this pass; fixed modules are not
+        // among them (as in FMRefiner).
+        if (trackLockedPins_)
+            std::fill(lockedCounts_, lockedCounts_ + static_cast<std::size_t>(h_.numNets()) *
+                                                         static_cast<std::size_t>(k_), 0);
         const Weight gain = runPass(part, bc, rng);
         ++lastPassCount_;
         if (gain <= 0) break;

@@ -2,12 +2,15 @@
 // quadrisection — without lookahead, exactly as the paper configures it.
 //
 // One gain bucket exists per ordered block pair (p, q): it holds the
-// modules of block p keyed by the gain of moving to q. After each move the
-// gains of the moved module's free neighbours are recomputed from per-net
-// block pin counts (O(deg * k) per neighbour) — simple, exact, and fast
-// enough at quadrisection scales. As in the bipartition engine, the true
-// objective delta is measured from pin counts at move time, so the tracked
-// objective cannot drift. A non-CLIP pass ends at its move window
+// modules of block p keyed by the gain of moving to q. A move updates its
+// free neighbours' gains by deltas read from each of its nets' pre-move
+// pin counts in the moved-from and moved-to blocks, accumulated in the
+// one traversal that updates the counts (O(pins of its nets) plus O(k)
+// per neighbour); a net with more than two pins in the moved-from block
+// and more than one in the moved-to block before the move changes no
+// gain. As in the bipartition engine, the true objective delta is
+// measured from pin counts at move time, so the tracked objective cannot
+// drift. A non-CLIP pass ends at its move window
 // (KWayConfig::moveWindow moves past its best prefix) or when no feasible
 // move is left, then rolls back to that prefix.
 #pragma once
@@ -61,7 +64,8 @@ private:
     /// k separate moveGain() calls.
     void moveGainsAll(ModuleId v, const Partition& part, Weight* out) const;
     void buildBuckets(const Partition& part);
-    void refreshModuleGains(ModuleId v, const Partition& part);
+    /// Moves v to `to`, locks it and updates counts, spans, the objective
+    /// and its free neighbours' gains; returns the objective reduction.
     Weight applyMove(ModuleId v, PartId to, Partition& part);
     void undoMoves(std::size_t n, Partition& part);
     Weight runPass(Partition& part, const BalanceConstraint& bc, std::mt19937_64& rng);
@@ -77,8 +81,9 @@ private:
 
 #if MLPART_CHECK_INVARIANTS
     /// Invariant hook (src/check): diffs realGain_, the displayed bucket
-    /// gains (non-CLIP), per-net block pin counts/spans, and the running
-    /// objective against naive recomputation; aborts on any mismatch.
+    /// gains (non-CLIP), per-net block pin counts/spans, the locked-pin
+    /// counts (lookahead >= 2), and the running objective against naive
+    /// recomputation; aborts on any mismatch.
     void auditGainState(const Partition& part, const char* where) const;
     std::int64_t movesSinceAudit_ = 0;
 #endif
@@ -94,15 +99,17 @@ private:
     refine::RefineProfile* profile_ = nullptr; ///< null = profiling off
     char* activeNet_ = nullptr;
     std::int32_t* counts_ = nullptr;       ///< per (net, block) pin counts
-    std::int32_t* lockedCounts_ = nullptr; ///< per (net, block) locked pins (lookahead)
+    /// Per (net, block): pins moved this pass. Maintained only when
+    /// trackLockedPins_ (lookahead >= 2), the one reader.
+    std::int32_t* lockedCounts_ = nullptr;
+    bool trackLockedPins_ = false;
     PartId* span_ = nullptr;               ///< per net: number of non-empty blocks
     char* locked_ = nullptr;
     GainBucketArray* buckets_ = nullptr; ///< k*k, diagonal unused
     Weight* realGain_ = nullptr;         ///< per (module, target): true gain backing the (possibly CLIP-distorted) bucket priority
     std::uint64_t* cnt1Mask_ = nullptr;  ///< pass-start: bit q of [e] = block q has exactly 1 pin of e
     std::uint64_t* cnt0Mask_ = nullptr;  ///< pass-start: bit q of [e] = block q has no pin of e
-    std::uint64_t* touched_ = nullptr;   ///< per module: epoch of last gain refresh
-    std::uint64_t epoch_ = 0;
+    std::uint32_t* touchSlot_ = nullptr; ///< per module: 1 + slot in kTouchList during applyMove, else 0
     Weight curObjective_ = 0;
     int lastPassCount_ = 0;
 };

@@ -101,7 +101,13 @@ struct Workspace {
     /// its gains toward *all* k targets (k <= 64).
     std::vector<std::uint64_t> kCnt1Mask;
     std::vector<std::uint64_t> kCnt0Mask;
-    std::vector<std::uint64_t> kTouched;
+    /// applyMove's delta-gain scratch: per module, 1 + its slot in
+    /// kTouchList while one move runs (0 otherwise); the move's free
+    /// neighbours in first-touch order; and one row of k + 1 gain deltas
+    /// per neighbour (toward each target, then toward all of them).
+    std::vector<std::uint32_t> kTouchSlot;
+    std::vector<ModuleId> kTouchList;
+    std::vector<Weight> kGainDelta;
     std::vector<KWayMove> kMoves;
     std::vector<GainBucketArray> kBuckets; ///< k*k, diagonal unused
     /// Backing store for every kBuckets head/tail list: KWayFMRefiner
@@ -139,7 +145,9 @@ struct Workspace {
         releaseVector(kRealGain);
         releaseVector(kCnt1Mask);
         releaseVector(kCnt0Mask);
-        releaseVector(kTouched);
+        releaseVector(kTouchSlot);
+        releaseVector(kTouchList);
+        releaseVector(kGainDelta);
         releaseVector(kMoves);
         for (GainBucketArray& b : kBuckets) b.shrinkToFit();
         releaseVector(kBuckets);
@@ -161,7 +169,8 @@ struct Workspace {
                         vectorCapacityBytes(kLockedCounts) + vectorCapacityBytes(kSpan) +
                         vectorCapacityBytes(kLocked) + vectorCapacityBytes(kRealGain) +
                         vectorCapacityBytes(kCnt1Mask) + vectorCapacityBytes(kCnt0Mask) +
-                        vectorCapacityBytes(kTouched) + vectorCapacityBytes(kMoves) +
+                        vectorCapacityBytes(kTouchSlot) + vectorCapacityBytes(kTouchList) +
+                        vectorCapacityBytes(kGainDelta) + vectorCapacityBytes(kMoves) +
                         vectorCapacityBytes(kBuckets) + vectorCapacityBytes(kBucketArena);
         for (const GainBucketArray& b : kBuckets) n += b.capacityBytes();
         return n;

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "core/multilevel.h" // kParallelVCycleRevision
-#include "core/parallel_multistart.h" // engineFingerprintSalt
+#include "core/parallel_multistart.h" // defaultEngine, engineFingerprintSalt
 #include "robust/checkpoint.h" // crc32, hashCombine
 #include "robust/wire.h"
 
@@ -67,7 +67,7 @@ JobRequest parseJobRequest(const std::string& line) {
     r.k = static_cast<std::int32_t>(getInt(o, "k", 2));
     r.tolerance = getNumber(o, "tolerance", 0.1);
     r.matchingRatio = getNumber(o, "ratio", 0.5);
-    r.engine = getString(o, "engine", "clip");
+    r.engine = getString(o, "engine", defaultEngine(r.k));
     r.runs = static_cast<std::int32_t>(getInt(o, "runs", 4));
     r.threads = static_cast<std::int32_t>(getInt(o, "threads", 1));
     r.vcycleThreads = static_cast<std::int32_t>(getInt(o, "vcycle_threads", 0));

@@ -39,7 +39,9 @@ struct JobRequest {
     /// "fm" | "clip" run the classic multi-start; "auto" races the whole
     /// engine portfolio (DESIGN.md §15); a single portfolio engine name
     /// ("ml", "two_phase", "lsmc", "spectral", "genetic") runs that one
-    /// lane under the same containment/report machinery.
+    /// lane under the same containment/report machinery. parseJobRequest
+    /// resolves an omitted "engine" by k (defaultEngine: "clip" at k = 2,
+    /// "fm" at k > 2); this member default is the k = 2 one.
     std::string engine = "clip";
     std::int32_t runs = 4;
     std::int32_t threads = 1;    ///< worker-internal multi-start threads

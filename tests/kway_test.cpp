@@ -1,6 +1,7 @@
 // Tests for the Sanchis-style multi-way FM refiner.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <string>
 
@@ -279,6 +280,98 @@ TEST(KWayWindow, PaperMoveWindowReproducesPinnedResults) {
         if (partitionCrc(d) != pinnedCrc[run]) ++defaultDiffers;
     }
     EXPECT_GT(defaultDiffers, 0);
+}
+
+// ------------------------------------------------------------ lookahead
+
+/// Every pass starts from fresh state, so under LIFO (no rng draws in
+/// selection) one refine() of N passes equals back-to-back one-pass
+/// refine() calls that stop once the objective stops falling. Locked-pin
+/// counts that carry earlier passes' moves make every lookahead-2 and -3
+/// case here differ.
+TEST(KWayLookahead, PassesMatchBackToBackSinglePassCalls) {
+    const PartId k = 4;
+    for (const int lookahead : {0, 2, 3}) {
+        for (std::uint64_t s = 1; s <= 6; ++s) {
+            const Hypergraph h = testing::mediumCircuit(400, 200 + s);
+            const auto bc = BalanceConstraint::forRefinement(h, k, 0.1);
+            KWayConfig multi;
+            multi.lookahead = lookahead;
+            KWayConfig single = multi;
+            single.maxPasses = 1;
+            std::mt19937_64 rngMulti(s), rngSingle(s);
+            Partition pm = randomKPartition(h, k, rngMulti);
+            Partition ps = randomKPartition(h, k, rngSingle);
+            KWayFMRefiner multiEngine(h, multi);
+            KWayFMRefiner singleEngine(h, single);
+            multiEngine.refine(pm, bc, rngMulti);
+            Weight prev = std::numeric_limits<Weight>::max();
+            for (int pass = 0; pass < multi.maxPasses; ++pass) {
+                singleEngine.refine(ps, bc, rngSingle);
+                if (singleEngine.lastObjective() >= prev) break;
+                prev = singleEngine.lastObjective();
+            }
+            EXPECT_EQ(partitionCrc(ps), partitionCrc(pm)) << "lookahead " << lookahead << " s " << s;
+            EXPECT_EQ(singleEngine.lastObjective(), multiEngine.lastObjective())
+                << "lookahead " << lookahead << " s " << s;
+        }
+    }
+}
+
+// ------------------------------------------------------------ delta gains
+
+/// Fixed-seed ML k-way results (two starts from one rng) on the paths the
+/// window pins above leave out, as computed when every move recomputed its
+/// free neighbours' gains from scratch: the net-cut objective (with and
+/// without CLIP), k = 3 and k = 8, FIFO buckets, and pre-assigned modules
+/// (a fixed mask on every level). Delta-gain updates make the same bucket
+/// calls in the same order, so every pin must hold.
+TEST(KWayDeltaGains, ReproducesScratchRefreshResults) {
+    struct Pin {
+        const char* label;
+        const char* circuit;
+        PartId k;
+        KWayObjective objective;
+        BucketPolicy policy;
+        bool clip;
+        bool preassign;
+        Weight cut[2];
+        std::uint32_t crc[2];
+    };
+    constexpr KWayObjective kSoed = KWayObjective::kSumOfDegrees;
+    constexpr KWayObjective kNetCut = KWayObjective::kNetCut;
+    constexpr BucketPolicy kLifo = BucketPolicy::kLifo;
+    const Pin pins[] = {
+        {"net-cut", "s9234", 4, kNetCut, kLifo, false, false, {116, 132}, {0x676d0a76u, 0x53975666u}},
+        {"net-cut clip", "test03", 4, kNetCut, kLifo, true, false, {191, 169}, {0x55f16643u, 0x40f5a3deu}},
+        {"k = 3", "primary2", 3, kSoed, kLifo, false, false, {139, 149}, {0x70ace74cu, 0x15058675u}},
+        {"k = 8", "s9234", 8, kSoed, kLifo, false, false, {310, 289}, {0x71eb18feu, 0xf918ef8du}},
+        {"fifo", "s9234", 4, kSoed, BucketPolicy::kFifo, false, false, {126, 135}, {0x15568cd6u, 0xc32bd434u}},
+        {"fixed", "s9234", 4, kSoed, kLifo, false, true, {248, 261}, {0x6dc8fc19u, 0xfcd927ebu}},
+    };
+    for (const Pin& pin : pins) {
+        const Hypergraph h = benchmarkInstance(pin.circuit);
+        MLConfig cfg = quadrisectionConfig();
+        cfg.k = pin.k;
+        if (pin.preassign) {
+            // Every 64th module is a pad pre-assigned round-robin.
+            cfg.preassignment.assign(static_cast<std::size_t>(h.numModules()), kInvalidPart);
+            for (ModuleId v = 0; v < h.numModules(); v += 64)
+                cfg.preassignment[static_cast<std::size_t>(v)] = (v / 64) % pin.k;
+        }
+        KWayConfig kw;
+        kw.objective = pin.objective;
+        kw.policy = pin.policy;
+        kw.clip = pin.clip;
+        MultilevelPartitioner ml(cfg, makeKWayFactory(kw));
+        std::mt19937_64 rng(1);
+        for (int run = 0; run < 2; ++run) {
+            const MLResult r = ml.run(h, rng);
+            const std::uint32_t crc = partitionCrc(r.partition);
+            EXPECT_EQ(r.cut, pin.cut[run]) << pin.label << " run " << run;
+            EXPECT_EQ(crc, pin.crc[run]) << pin.label << " run " << run << ": crc 0x" << std::hex << crc;
+        }
+    }
 }
 
 } // namespace

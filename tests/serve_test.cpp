@@ -935,6 +935,40 @@ TEST(ServeCache, FingerprintKeepsKWayKeysAcrossBisectionRevisions) {
     EXPECT_EQ(requestFingerprint(a), 0x15c490a041d39585ull);
 }
 
+/// A request that names no engine runs CLIP at k = 2 and the k-way FM
+/// engine at k > 2, under the same key and with the same result as one
+/// that names it. An explicit "clip" still selects k-way CLIP, whose key
+/// is the one pinned above.
+TEST(ServeCache, OmittedEngineResolvesByK) {
+    MLPART_SKIP_NEEDS_LIVE_WORKER();
+    const JobRequest k2 = parseJobRequest(tinyJob("k2", "\"seed\":42"));
+    EXPECT_EQ(k2.engine, "clip");
+    EXPECT_EQ(requestFingerprint(k2), 0x44839b38db55f42bull);
+    const std::string k4Fields = "\"k\":4,\"seed\":42";
+    const JobRequest omitted = parseJobRequest(tinyJob("omitted", k4Fields));
+    const JobRequest fm = parseJobRequest(tinyJob("fm", k4Fields + ",\"engine\":\"fm\""));
+    const JobRequest clip = parseJobRequest(tinyJob("clip", k4Fields + ",\"engine\":\"clip\""));
+    EXPECT_EQ(omitted.engine, "fm");
+    EXPECT_EQ(requestFingerprint(omitted), requestFingerprint(fm));
+    EXPECT_EQ(clip.engine, "clip");
+    EXPECT_EQ(requestFingerprint(clip), 0xede984f739307251ull);
+
+    Capture cap;
+    ServiceConfig cfg;
+    cfg.workers = 1; // no result cache: both jobs compute
+    Service service(cfg, cap.sink());
+    service.handleLine(tinyJob("omitted", k4Fields));
+    ASSERT_TRUE(cap.waitFor("\"id\":\"omitted\""));
+    service.handleLine(tinyJob("fm", k4Fields + ",\"engine\":\"fm\""));
+    ASSERT_TRUE(cap.waitFor("\"id\":\"fm\""));
+    service.stop();
+    const JsonObject a = parseJsonObject(cap.resultFor("omitted"));
+    const JsonObject b = parseJsonObject(cap.resultFor("fm"));
+    EXPECT_EQ(getString(a, "status", ""), "OK");
+    EXPECT_EQ(getInt(a, "cut", -1), getInt(b, "cut", -2));
+    EXPECT_EQ(getInt(a, "part_crc", -1), getInt(b, "part_crc", -2));
+}
+
 TEST(ServeCache, FingerprintFoldsConfigButNotThreadCounts) {
     JobRequest a = tinyRequest("a");
     a.seed = 42;

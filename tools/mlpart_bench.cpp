@@ -85,6 +85,7 @@
 #include "hypergraph/io.h"
 #include "hypergraph/stats.h"
 #include "core/multilevel.h"
+#include "core/parallel_multistart.h" // defaultEngine
 #include "kway/kway_refiner.h"
 #include "perf/simd.h"
 #include "portfolio/portfolio.h"
@@ -199,7 +200,7 @@ Options parseOptions(int argc, char** argv) {
     for (const int t : o.vcycleSweep)
         if (t < 1) usage("--vcycle-sweep values must be >= 1");
     if (o.k < 2) usage("-k must be >= 2");
-    if (o.engine.empty()) o.engine = o.k == 2 ? "clip" : "fm";
+    if (o.engine.empty()) o.engine = defaultEngine(o.k);
     if (o.engine != "fm" && o.engine != "clip") usage("--engine must be fm or clip");
     if (o.instances.empty()) {
         if (quick) o.instances = {"balu", "primary1", "struct"};

@@ -76,6 +76,7 @@ void setPhase(const std::string& phase, const std::string& input = "") {
         "  stats     <netlist>\n"
         "  partition <netlist> [-k K] [-r TOL] [-R RATIO]\n"
         "            [--engine fm|clip|auto|ml|two_phase|lsmc|spectral|genetic]\n"
+        "            (default: clip at k = 2, fm at k > 2)\n"
         "            [--engine-budget SEC]   (portfolio engines: per-job budget,\n"
         "             split across lanes; auto races the whole portfolio)\n"
         "            [--runs N] [--threads T] [--vcycle-threads T] [--seed S]\n"
@@ -305,7 +306,7 @@ int cmdPartition(const Args& a) {
                  std::chrono::duration<double>(std::chrono::steady_clock::now() - tLoad).count());
     const PartId k = static_cast<PartId>(a.getI("-k", 2));
     const double r = a.getD("-r", 0.1);
-    const std::string engine = a.get("--engine", "clip");
+    const std::string engine = a.get("--engine", defaultEngine(k));
     const double timeout = a.getD("--timeout", 0.0);
     setPhase("validating constraints");
     if (k < 2) usage("partition: -k must be >= 2");

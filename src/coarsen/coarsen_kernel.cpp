@@ -1,7 +1,6 @@
 #include "coarsen/coarsen_kernel.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "hypergraph/assemble.h"
 #include "robust/fault_injector.h"
@@ -20,10 +19,12 @@ namespace mlpart {
 
 namespace {
 
-// FNV-1a over a sorted pin list. Only used to *group* candidate duplicate
-// nets — merging always compares the full pin lists, so the result is
-// independent of the hash function (and of the builder path's hash).
-std::uint64_t fingerprintPins(const ModuleId* pins, std::int64_t count) {
+// Sorts a deduped pin span ascending and returns its FNV-1a fingerprint.
+// The fingerprint only *groups* candidate duplicate nets — merging always
+// compares the full pin lists, so the result is independent of the hash
+// function (and of the builder path's hash).
+std::uint64_t sortAndFingerprint(ModuleId* pins, std::int64_t count) {
+    std::sort(pins, pins + count);
     std::uint64_t fp = 1469598103934665603ULL;
     for (std::int64_t i = 0; i < count; ++i) {
         fp ^= static_cast<std::uint64_t>(pins[i]) + 0x9e3779b97f4a7c15ULL;
@@ -65,18 +66,16 @@ Hypergraph induceInto(const Hypergraph& h, const Clustering& c, CoarsenWorkspace
     if (runParallel) {
         // Parallel tentative-net construction: two passes over fixed net
         // chunks separated by one serial prefix scan. Pass A counts each
-        // fine net's deduped mapped pins (per-worker stamp arrays — which
-        // worker handles a chunk is unobservable); the scan assigns
-        // tentative ids and exact offsets; pass B fills each kept net's
-        // span, sorts it ascending, and fingerprints it. Sorting per net
-        // replaces the serial path's cluster-order counting sweep and
-        // yields the identical ascending pin lists, so everything
-        // downstream (merge, emission) is byte-for-byte unchanged.
+        // fine net's deduped mapped pins into `slots` (per-worker stamp
+        // arrays — which worker handles a chunk is unobservable); the scan
+        // assigns tentative ids and exact offsets; pass B fills each kept
+        // net's span, sorts it ascending, and fingerprints it, exactly as
+        // the serial pass 1 does, so the merge below sees identical input.
         const int workers = pool->threads();
         if (static_cast<int>(ws.threadStamp.size()) < workers)
             ws.threadStamp.resize(static_cast<std::size_t>(workers));
         for (int w = 0; w < workers; ++w) ws.threadStamp[static_cast<std::size_t>(w)].assign(ncSz, -1);
-        ws.finePinCount.assign(static_cast<std::size_t>(m), 0);
+        ws.slots.resize(static_cast<std::size_t>(m));
         const std::int64_t chunks = robust::ThreadPool::chunkCount(m, kNetChunk);
         pool->forChunks(chunks, [&](int worker, std::int64_t chunk) {
             std::int64_t* stamp = ws.threadStamp[static_cast<std::size_t>(worker)].data();
@@ -91,7 +90,7 @@ Hypergraph induceInto(const Hypergraph& h, const Clustering& c, CoarsenWorkspace
                         ++count;
                     }
                 }
-                ws.finePinCount[static_cast<std::size_t>(e)] = count;
+                ws.slots[static_cast<std::size_t>(e)] = count;
             }
         });
         ws.fineTent.assign(static_cast<std::size_t>(m), kInvalidNet);
@@ -99,7 +98,7 @@ Hypergraph induceInto(const Hypergraph& h, const Clustering& c, CoarsenWorkspace
         ws.tentOffsets.push_back(0);
         ws.tentWeights.clear();
         for (NetId e = 0; e < m; ++e) {
-            const ModuleId count = ws.finePinCount[static_cast<std::size_t>(e)];
+            const ModuleId count = ws.slots[static_cast<std::size_t>(e)];
             if (count < 2) continue; // degenerate: connects < 2 clusters
             ws.fineTent[static_cast<std::size_t>(e)] = static_cast<NetId>(ws.tentWeights.size());
             ws.tentOffsets.push_back(ws.tentOffsets.back() + count);
@@ -127,128 +126,87 @@ Hypergraph induceInto(const Hypergraph& h, const Clustering& c, CoarsenWorkspace
                         out[filled++] = static_cast<ModuleId>(cl);
                     }
                 }
-                std::sort(out, out + filled);
-                ws.fingerprints[static_cast<std::size_t>(t)] = fingerprintPins(out, filled);
+                ws.fingerprints[static_cast<std::size_t>(t)] = sortAndFingerprint(out, filled);
             }
         });
     } else {
-    // Pass 1 — tentative nets: map each fine net through the clustering,
-    // dedup pins with a per-cluster stamp of the current net id (instead
-    // of sort+unique over the mapped pins), drop |e*| < 2 nets.
-    ws.pinStamp.assign(ncSz, kInvalidNet);
-    ws.tentOffsets.clear();
-    ws.tentOffsets.push_back(0);
-    ws.tentPins.clear();
-    ws.tentWeights.clear();
-    NetId* stamp = ws.pinStamp.data();
-    for (NetId e = 0; e < m; ++e) {
-        const std::size_t before = ws.tentPins.size();
-        for (ModuleId v : h.pins(e)) {
-            const ModuleId cl = clusterOf[v];
-            if (stamp[cl] != e) {
-                stamp[cl] = e;
-                ws.tentPins.push_back(cl);
-            }
-        }
-        if (ws.tentPins.size() - before >= 2) {
-            ws.tentOffsets.push_back(static_cast<std::int64_t>(ws.tentPins.size()));
-            ws.tentWeights.push_back(h.netWeight(e));
-        } else {
-            ws.tentPins.resize(before); // degenerate: connects < 2 clusters
-        }
-    }
-    tentCount = static_cast<NetId>(ws.tentWeights.size());
-
-    // Pass 2 — sort-free CSR emission. Two counting sweeps produce every
-    // tentative net's pin list in ascending cluster order: first a
-    // cluster -> tentative-net incidence (net ids ascend within each
-    // cluster because nets are visited in order), then a walk over
-    // clusters in increasing id appending each cluster to its nets.
-    ws.clusterOffsets.assign(ncSz + 1, 0);
-    for (ModuleId cl : ws.tentPins) ws.clusterOffsets[static_cast<std::size_t>(cl) + 1]++;
-    for (std::size_t i = 1; i <= ncSz; ++i) ws.clusterOffsets[i] += ws.clusterOffsets[i - 1];
-    ws.clusterNets.resize(ws.tentPins.size());
-    for (NetId t = 0; t < tentCount; ++t) {
-        for (std::int64_t p = ws.tentOffsets[t]; p < ws.tentOffsets[t + 1]; ++p) {
-            const std::size_t cl = static_cast<std::size_t>(ws.tentPins[static_cast<std::size_t>(p)]);
-            ws.clusterNets[static_cast<std::size_t>(ws.clusterOffsets[cl]++)] = t;
-        }
-    }
-    // clusterOffsets[cl] now marks the *end* of cluster cl's range (the
-    // fill advanced each cursor across its own range exactly).
-    ws.netCursor.assign(ws.tentOffsets.begin(), ws.tentOffsets.end() - 1);
-    ws.tentPinsSorted.resize(ws.tentPins.size());
-    {
-        std::int64_t start = 0;
-        for (std::size_t cl = 0; cl < ncSz; ++cl) {
-            const std::int64_t end = ws.clusterOffsets[cl];
-            for (std::int64_t i = start; i < end; ++i) {
-                const NetId t = ws.clusterNets[static_cast<std::size_t>(i)];
-                ws.tentPinsSorted[static_cast<std::size_t>(ws.netCursor[static_cast<std::size_t>(t)]++)] =
-                    static_cast<ModuleId>(cl);
-            }
-            start = end;
-        }
-    }
-
-    ws.fingerprints.resize(static_cast<std::size_t>(tentCount));
-    for (NetId t = 0; t < tentCount; ++t)
-        ws.fingerprints[static_cast<std::size_t>(t)] =
-            fingerprintPins(ws.tentPinsSorted.data() + ws.tentOffsets[t],
-                            ws.tentOffsets[t + 1] - ws.tentOffsets[t]);
-    } // serial path
-
-    // Pass 3 — parallel-net merging via one sorted fingerprint pass.
-    // Sorting (fingerprint, net id) pairs groups candidate duplicates;
-    // within a group the ascending net-id walk merges every net into the
-    // lowest-id net with an equal pin list, exactly like the builder's
-    // hash-bucket scan (first kept candidate wins, weights sum).
-    ws.order.resize(static_cast<std::size_t>(tentCount));
-    std::iota(ws.order.begin(), ws.order.end(), 0);
-    std::sort(ws.order.begin(), ws.order.end(), [&](NetId a, NetId b) {
-        const std::uint64_t fa = ws.fingerprints[static_cast<std::size_t>(a)];
-        const std::uint64_t fb = ws.fingerprints[static_cast<std::size_t>(b)];
-        return fa != fb ? fa < fb : a < b;
-    });
-    ws.repOf.resize(static_cast<std::size_t>(tentCount));
-    auto pinsEqual = [&](NetId a, NetId b) {
-        const std::int64_t sa = ws.tentOffsets[a + 1] - ws.tentOffsets[a];
-        const std::int64_t sb = ws.tentOffsets[b + 1] - ws.tentOffsets[b];
-        if (sa != sb) return false;
-        return std::equal(ws.tentPinsSorted.begin() + ws.tentOffsets[a],
-                          ws.tentPinsSorted.begin() + ws.tentOffsets[a + 1],
-                          ws.tentPinsSorted.begin() + ws.tentOffsets[b]);
-    };
-    for (std::size_t i = 0; i < ws.order.size();) {
-        std::size_t j = i;
-        const std::uint64_t fp = ws.fingerprints[static_cast<std::size_t>(ws.order[i])];
-        while (j < ws.order.size() && ws.fingerprints[static_cast<std::size_t>(ws.order[j])] == fp) ++j;
-        for (std::size_t g = i; g < j; ++g) {
-            const NetId t = ws.order[g];
-            ws.repOf[static_cast<std::size_t>(t)] = t;
-            for (std::size_t g2 = i; g2 < g; ++g2) {
-                const NetId r = ws.order[g2];
-                if (ws.repOf[static_cast<std::size_t>(r)] != r) continue; // merged away
-                if (pinsEqual(t, r)) {
-                    ws.repOf[static_cast<std::size_t>(t)] = r;
-                    ws.tentWeights[static_cast<std::size_t>(r)] +=
-                        ws.tentWeights[static_cast<std::size_t>(t)];
-                    break;
+        // Pass 1 — tentative nets: map each fine net through the
+        // clustering, dedup pins with a per-cluster stamp of the current
+        // net id (instead of sort+unique over the mapped pins), drop
+        // |e*| < 2 nets, and sort each kept span in place. A deduped pin
+        // list has one ascending order, so this equals the builder's
+        // per-net sort + unique.
+        ws.pinStamp.assign(ncSz, kInvalidNet);
+        ws.tentOffsets.clear();
+        ws.tentOffsets.push_back(0);
+        ws.tentPinsSorted.clear();
+        ws.tentWeights.clear();
+        ws.fingerprints.clear();
+        NetId* stamp = ws.pinStamp.data();
+        for (NetId e = 0; e < m; ++e) {
+            const std::size_t before = ws.tentPinsSorted.size();
+            for (ModuleId v : h.pins(e)) {
+                const ModuleId cl = clusterOf[v];
+                if (stamp[cl] != e) {
+                    stamp[cl] = e;
+                    ws.tentPinsSorted.push_back(cl);
                 }
             }
+            const std::int64_t count = static_cast<std::int64_t>(ws.tentPinsSorted.size() - before);
+            if (count < 2) {
+                ws.tentPinsSorted.resize(before); // degenerate: connects < 2 clusters
+                continue;
+            }
+            ws.fingerprints.push_back(sortAndFingerprint(ws.tentPinsSorted.data() + before, count));
+            ws.tentOffsets.push_back(static_cast<std::int64_t>(ws.tentPinsSorted.size()));
+            ws.tentWeights.push_back(h.netWeight(e));
         }
-        i = j;
+        tentCount = static_cast<NetId>(ws.tentWeights.size());
+    }
+
+    // Pass 3 — parallel-net merging through an open-addressing table of
+    // kept net ids (linear probing, 2 slots per tentative net, so load
+    // <= 1/2). Nets arrive in ascending id: each merges into the first
+    // kept net on its probe path whose fingerprint and pin list equal its
+    // own, or else claims the first empty slot. Slots are never emptied,
+    // so the one kept net with an equal pin list always lies on that path
+    // before any empty slot: every net merges into the lowest-id net with
+    // its pin list, exactly the builder's rule. A merged net's weight
+    // moves to that net, leaving 0 (net weights are >= 1) as its mark.
+    const std::uint64_t slotCount = 2 * static_cast<std::uint64_t>(tentCount);
+    ws.slots.assign(static_cast<std::size_t>(slotCount), kInvalidNet);
+    NetId keptCount = 0;
+    std::int64_t keptPinCount = 0;
+    auto pinsEqual = [&](NetId a, NetId b) {
+        const std::int64_t* off = ws.tentOffsets.data();
+        const ModuleId* pins = ws.tentPinsSorted.data();
+        return off[a + 1] - off[a] == off[b + 1] - off[b] &&
+               std::equal(pins + off[a], pins + off[a + 1], pins + off[b]);
+    };
+    for (NetId t = 0; t < tentCount; ++t) {
+        const std::uint64_t fp = ws.fingerprints[static_cast<std::size_t>(t)];
+        // Multiplicative hash: the high bits of fp * 2^64/phi, scaled to
+        // [0, slotCount). FNV's raw bits cluster badly.
+        std::uint64_t s = ((fp * 0x9E3779B97F4A7C15ULL) >> 32) * slotCount >> 32;
+        NetId r = ws.slots[s];
+        while (r != kInvalidNet &&
+               !(ws.fingerprints[static_cast<std::size_t>(r)] == fp && pinsEqual(t, r))) {
+            if (++s == slotCount) s = 0;
+            r = ws.slots[s];
+        }
+        if (r == kInvalidNet) {
+            ws.slots[s] = t;
+            ++keptCount;
+            keptPinCount += ws.tentOffsets[t + 1] - ws.tentOffsets[t];
+        } else {
+            Weight& w = ws.tentWeights[static_cast<std::size_t>(t)];
+            ws.tentWeights[static_cast<std::size_t>(r)] += w;
+            w = 0;
+        }
     }
 
     // Emission — kept nets in first-occurrence (ascending tentative id)
     // order, into exactly-sized arrays owned by the result.
-    NetId keptCount = 0;
-    std::int64_t keptPinCount = 0;
-    for (NetId t = 0; t < tentCount; ++t) {
-        if (ws.repOf[static_cast<std::size_t>(t)] != t) continue;
-        ++keptCount;
-        keptPinCount += ws.tentOffsets[t + 1] - ws.tentOffsets[t];
-    }
     std::vector<std::int64_t> netPinOffsets;
     netPinOffsets.reserve(static_cast<std::size_t>(keptCount) + 1);
     netPinOffsets.push_back(0);
@@ -257,7 +215,7 @@ Hypergraph induceInto(const Hypergraph& h, const Clustering& c, CoarsenWorkspace
     std::vector<Weight> netWeights;
     netWeights.reserve(static_cast<std::size_t>(keptCount));
     for (NetId t = 0; t < tentCount; ++t) {
-        if (ws.repOf[static_cast<std::size_t>(t)] != t) continue;
+        if (ws.tentWeights[static_cast<std::size_t>(t)] == 0) continue; // merged away
         netPins.insert(netPins.end(), ws.tentPinsSorted.begin() + ws.tentOffsets[t],
                        ws.tentPinsSorted.begin() + ws.tentOffsets[t + 1]);
         netPinOffsets.push_back(static_cast<std::int64_t>(netPins.size()));

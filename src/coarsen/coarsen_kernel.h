@@ -5,11 +5,10 @@
 // std::unordered_map<uint64, vector<NetId>> for parallel-net merging —
 // O(pins log deg) comparisons and O(nets) node allocations per level.
 // This kernel produces a bit-identical coarse hypergraph with
-//  - cluster-stamp dedup of mapped pins (no per-net sort of fine pins),
-//  - sort-free CSR emission: a counting pass over cluster ids emits every
-//    coarse net's pin list already in ascending order,
-//  - parallel-net merging via one sorted fingerprint pass (sorting net
-//    ids, which is cheap, instead of pin lists, which is not),
+//  - cluster-stamp dedup of mapped pins, then an in-place sort of each
+//    deduped span (most coarse nets are a few pins long),
+//  - parallel-net merging in one pass over the nets through an
+//    open-addressing table of net ids keyed by a pin-list fingerprint,
 // with every scratch buffer owned by a CoarsenWorkspace that the caller
 // keeps alive for the whole V-cycle — after the first level no scratch
 // allocation happens on the hot path. Only the arrays owned by the
@@ -20,7 +19,7 @@
 // areas, and all cached statistics equal the legacy builder path's output
 // exactly. src/check's differential oracle (verifyIdenticalHypergraphs)
 // guards this in every checked build, and tests/coarsen_kernel_test pins
-// it across the gen suite.
+// it across the gen suite and full-scale Table I levels.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +42,14 @@ namespace mlpart {
 struct CoarsenWorkspace {
     std::vector<NetId> pinStamp;           ///< per cluster: last net that touched it
     std::vector<std::int64_t> tentOffsets; ///< tentative-net pin CSR offsets
-    std::vector<ModuleId> tentPins;        ///< tentative pins, first-seen order
     std::vector<ModuleId> tentPinsSorted;  ///< tentative pins, ascending per net
-    std::vector<Weight> tentWeights;       ///< tentative-net weights (merge sums here)
-    std::vector<std::int64_t> clusterOffsets; ///< cluster -> tentative-net CSR
-    std::vector<NetId> clusterNets;
-    std::vector<std::int64_t> netCursor;   ///< per tentative net: emission cursor
+    std::vector<Weight> tentWeights;       ///< tentative-net weights (merge sums; 0 = merged away)
     std::vector<std::uint64_t> fingerprints; ///< per tentative net: pin-list hash
-    std::vector<NetId> order;              ///< net ids sorted by (fingerprint, id)
-    std::vector<NetId> repOf;              ///< per tentative net: merge representative
+    /// Merge table: 2 slots per tentative net, each a kept net id or
+    /// kInvalidNet. The parallel path first counts each fine net's pins
+    /// here, a use that ends before the table is filled.
+    std::vector<NetId> slots;
     // Parallel-path scratch (used only when induceInto runs on a pool):
-    std::vector<ModuleId> finePinCount;    ///< per fine net: deduped mapped-pin count
     std::vector<NetId> fineTent;           ///< per fine net: tentative id (kInvalidNet = dropped)
     std::vector<std::vector<std::int64_t>> threadStamp; ///< per worker: cluster stamp array
 
@@ -62,16 +58,10 @@ struct CoarsenWorkspace {
     void shrinkToFit() {
         std::vector<NetId>().swap(pinStamp);
         std::vector<std::int64_t>().swap(tentOffsets);
-        std::vector<ModuleId>().swap(tentPins);
         std::vector<ModuleId>().swap(tentPinsSorted);
         std::vector<Weight>().swap(tentWeights);
-        std::vector<std::int64_t>().swap(clusterOffsets);
-        std::vector<NetId>().swap(clusterNets);
-        std::vector<std::int64_t>().swap(netCursor);
         std::vector<std::uint64_t>().swap(fingerprints);
-        std::vector<NetId>().swap(order);
-        std::vector<NetId>().swap(repOf);
-        std::vector<ModuleId>().swap(finePinCount);
+        std::vector<NetId>().swap(slots);
         std::vector<NetId>().swap(fineTent);
         std::vector<std::vector<std::int64_t>>().swap(threadStamp);
     }
@@ -80,15 +70,10 @@ struct CoarsenWorkspace {
     [[nodiscard]] std::size_t capacityBytes() const {
         std::size_t n = pinStamp.capacity() * sizeof(NetId) +
                         tentOffsets.capacity() * sizeof(std::int64_t) +
-                        tentPins.capacity() * sizeof(ModuleId) +
                         tentPinsSorted.capacity() * sizeof(ModuleId) +
                         tentWeights.capacity() * sizeof(Weight) +
-                        clusterOffsets.capacity() * sizeof(std::int64_t) +
-                        clusterNets.capacity() * sizeof(NetId) +
-                        netCursor.capacity() * sizeof(std::int64_t) +
                         fingerprints.capacity() * sizeof(std::uint64_t) +
-                        order.capacity() * sizeof(NetId) + repOf.capacity() * sizeof(NetId) +
-                        finePinCount.capacity() * sizeof(ModuleId) +
+                        slots.capacity() * sizeof(NetId) +
                         fineTent.capacity() * sizeof(NetId) +
                         threadStamp.capacity() * sizeof(std::vector<std::int64_t>);
         for (const auto& row : threadStamp) n += row.capacity() * sizeof(std::int64_t);
@@ -103,7 +88,7 @@ struct CoarsenWorkspace {
 /// per-net pin sorting, fingerprinting) runs in parallel over fixed
 /// net chunks — the output stays bit-identical to the serial path for
 /// every thread count, because each net's span and fingerprint are
-/// chunk-confined and the merge/emission pass is unchanged.
+/// chunk-confined and the serial merge/emission tail is shared.
 [[nodiscard]] Hypergraph induceInto(const Hypergraph& h, const Clustering& c,
                                     CoarsenWorkspace& ws,
                                     robust::ThreadPool* pool = nullptr);

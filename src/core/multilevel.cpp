@@ -131,6 +131,17 @@ Partition MultilevelPartitioner::runCycle(const Hypergraph& h0, std::mt19937_64&
     robust::ThreadPool* pool =
         cfg_.vcycleThreads > 0 ? &ws.ensurePool(cfg_.vcycleThreads) : nullptr;
 
+    // MLTimings' match/induce split: one clock read per phase boundary,
+    // none when the caller asked for no timings.
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point lapStart = timings != nullptr ? Clock::now() : Clock::time_point{};
+    auto lap = [&](double MLTimings::*slot) {
+        if (timings == nullptr) return;
+        const Clock::time_point now = Clock::now();
+        timings->*slot += std::chrono::duration<double>(now - lapStart).count();
+        lapStart = now;
+    };
+
     const Hypergraph* cur = &h0;
     int netLimit = cfg_.matchNetSizeLimit;
     // An expired budget stops coarsening: fewer levels just means less
@@ -160,7 +171,9 @@ Partition MultilevelPartitioner::runCycle(const Hypergraph& h0, std::mt19937_64&
             }
             break;
         }
+        lap(&MLTimings::matchSec);
         coarse.push_back(induceInto(*cur, c, ws.coarsen, pool));
+        lap(&MLTimings::induceSec);
 
         // Thread the pre-assignment down: pre-assigned modules are singleton
         // clusters (excluded from matching), so the mapping is one-to-one.
@@ -183,6 +196,7 @@ Partition MultilevelPartitioner::runCycle(const Hypergraph& h0, std::mt19937_64&
         clusterings.push_back(std::move(c));
         cur = &coarse.back();
     }
+    lap(&MLTimings::matchSec);
     const int m = static_cast<int>(coarse.size());
     coarsenTimer.stop();
 

@@ -70,10 +70,6 @@ private:
     std::unique_ptr<robust::ThreadPool> pool_;
 };
 
-/// Wall-clock seconds per V-cycle phase, accumulated over all cycles of a
-/// run() call. coarsen covers matching + induce, initial the coarsest-level
-/// partitioning (and its refinement), refine the uncoarsening sweep
-/// (project + rebalance + per-level refinement).
 /// Refinement profile of one hierarchy level of one V-cycle: the engine's
 /// segment counters (refine/profile.h) plus the level's identity.
 struct MLLevelProfile {
@@ -82,8 +78,18 @@ struct MLLevelProfile {
     refine::RefineProfile refine;
 };
 
+/// Wall-clock seconds per V-cycle phase, accumulated over all cycles of a
+/// run() call. coarsen covers matching + induce, initial the coarsest-level
+/// partitioning (and its refinement), refine the uncoarsening sweep
+/// (project + rebalance + per-level refinement).
 struct MLTimings {
     double coarsenSec = 0.0;
+    /// coarsenSec split per level: match runs from the end of the previous
+    /// level's induce to the clustering (an adaptive net-limit retry and
+    /// the per-level bookkeeping count as match), induce is induceInto().
+    /// They sum to coarsenSec up to the set-up before the first level.
+    double matchSec = 0.0;
+    double induceSec = 0.0;
     double initialSec = 0.0;
     double refineSec = 0.0;
     /// Per-level refinement profiles, in execution order (coarsest level

@@ -99,6 +99,10 @@ JobRequest parseJobRequest(const std::string& line) {
     return r;
 }
 
+std::string resolvedEngine(const JobRequest& r) {
+    return r.engine.empty() ? defaultEngine(r.k) : r.engine;
+}
+
 bool portfolioEngine(const std::string& engine) {
     if (engine == "auto") return true;
     portfolio::EngineKind kind;
@@ -241,7 +245,7 @@ std::uint64_t requestFingerprint(const JobRequest& r) {
     f = hashCombine(f, bits);
     std::memcpy(&bits, &r.matchingRatio, sizeof(bits));
     f = hashCombine(f, bits);
-    f = hashCombine(f, engineFingerprintSalt(r.engine, r.k));
+    f = hashCombine(f, engineFingerprintSalt(resolvedEngine(r), r.k));
     f = hashCombine(f, static_cast<std::uint64_t>(r.runs));
     f = hashCombine(f, r.seed);
     // Parallel-mode marker only: results are bit-identical for every

@@ -39,10 +39,11 @@ struct JobRequest {
     /// "fm" | "clip" run the classic multi-start; "auto" races the whole
     /// engine portfolio (DESIGN.md §15); a single portfolio engine name
     /// ("ml", "two_phase", "lsmc", "spectral", "genetic") runs that one
-    /// lane under the same containment/report machinery. parseJobRequest
-    /// resolves an omitted "engine" by k (defaultEngine: "clip" at k = 2,
-    /// "fm" at k > 2); this member default is the k = 2 one.
-    std::string engine = "clip";
+    /// lane under the same containment/report machinery. Empty = unset:
+    /// the fingerprint and the worker read resolvedEngine(), which picks
+    /// by k (defaultEngine: "clip" at k = 2, "fm" at k > 2), and
+    /// parseJobRequest stores that choice for an omitted "engine".
+    std::string engine;
     std::int32_t runs = 4;
     std::int32_t threads = 1;    ///< worker-internal multi-start threads
     /// Deterministic parallel V-cycle threads per start (MLConfig::
@@ -66,6 +67,9 @@ struct JobRequest {
 /// Parses one request line. Throws robust::Error(kParseError/kUsage) on
 /// malformed JSON, unknown op, unknown keys, or out-of-range values.
 [[nodiscard]] JobRequest parseJobRequest(const std::string& line);
+
+/// The engine a request runs: `r.engine`, or defaultEngine(r.k) when unset.
+[[nodiscard]] std::string resolvedEngine(const JobRequest& r);
 
 /// True when `engine` routes through the portfolio manager: "auto" or a
 /// single portfolio engine name. "fm"/"clip" (the legacy multi-start

@@ -126,7 +126,8 @@ JobOutcome executeJob(const JobRequest& req, const std::atomic<bool>* cancel) {
                         "cannot split " + std::to_string(h.numModules()) + " modules into " +
                             std::to_string(req.k) + " non-empty blocks");
 
-        if (portfolioEngine(req.engine)) {
+        const std::string engine = resolvedEngine(req);
+        if (portfolioEngine(engine)) {
             executePortfolioJob(req, h, cancel, out);
             out.seconds =
                 std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -144,12 +145,12 @@ JobOutcome executeJob(const JobRequest& req, const std::atomic<bool>* cancel) {
         if (k == 2) {
             FMConfig fm;
             fm.tolerance = req.tolerance;
-            if (req.engine == "clip") fm.variant = EngineVariant::kCLIP;
+            if (engine == "clip") fm.variant = EngineVariant::kCLIP;
             factory = makeFMFactory(fm);
         } else {
             KWayConfig kw;
             kw.tolerance = req.tolerance;
-            kw.clip = req.engine == "clip";
+            kw.clip = engine == "clip";
             factory = makeKWayFactory(kw);
         }
         MultilevelPartitioner ml(cfg, factory);
@@ -163,7 +164,7 @@ JobOutcome executeJob(const JobRequest& req, const std::atomic<bool>* cancel) {
             ms.deadline.bindCancelFlag(const_cast<std::atomic<bool>*>(cancel));
         ms.checkpointPath = req.checkpointPath;
         ms.resume = req.resume;
-        if (!ms.checkpointPath.empty()) ms.fingerprintSalt = engineFingerprintSalt(req.engine, k);
+        if (!ms.checkpointPath.empty()) ms.fingerprintSalt = engineFingerprintSalt(engine, k);
 
         const MultiStartOutcome r = parallelMultiStart(h, ml, ms);
 

@@ -46,6 +46,20 @@ TEST(Multilevel, LevelSizesDecreaseMonotonically) {
         EXPECT_LT(r.levelModules[i], r.levelModules[i - 1]);
 }
 
+/// MLTimings splits coarsening into match and induce inside coarsenSec's
+/// own window: both parts are positive and never sum past the whole
+/// (up to the clock's double rounding).
+TEST(Multilevel, TimingsSplitCoarseningIntoMatchAndInduce) {
+    const Hypergraph h = testing::mediumCircuit(600);
+    MultilevelPartitioner ml(baseConfig(), makeFMFactory({}));
+    std::mt19937_64 rng(2);
+    const MLResult r = ml.run(h, rng);
+    ASSERT_GT(r.levels, 0);
+    EXPECT_GT(r.timings.matchSec, 0.0);
+    EXPECT_GT(r.timings.induceSec, 0.0);
+    EXPECT_LE(r.timings.matchSec + r.timings.induceSec, r.timings.coarsenSec + 1e-9);
+}
+
 TEST(Multilevel, SlowerCoarseningYieldsMoreLevels) {
     const Hypergraph h = testing::mediumCircuit(800);
     std::mt19937_64 rng1(3), rng2(3);

@@ -927,6 +927,7 @@ TEST(ServeCache, FingerprintKeepsKWayKeysAcrossBisectionRevisions) {
     JobRequest parallel = a;
     parallel.vcycleThreads = 2;
     EXPECT_EQ(requestFingerprint(parallel), 0x488efe063d869fe0ull);
+    a.engine = "clip"; // an unset engine runs k-way FM at k = 4
     a.k = 4;
     EXPECT_NE(requestFingerprint(a), 0x94fd73069bbad5ceull);
     EXPECT_EQ(requestFingerprint(a), 0xede984f739307251ull);
@@ -967,6 +968,36 @@ TEST(ServeCache, OmittedEngineResolvesByK) {
     EXPECT_EQ(getString(a, "status", ""), "OK");
     EXPECT_EQ(getInt(a, "cut", -1), getInt(b, "cut", -2));
     EXPECT_EQ(getInt(a, "part_crc", -1), getInt(b, "part_crc", -2));
+}
+
+/// An engine left unset on a request built in code resolves by k for
+/// every consumer, exactly like an omitted JSON "engine": the k = 2 keys
+/// pinned above hold, and at k = 4 the key and the worker's result equal
+/// the parsed engine-less request's (k-way FM, not the clip key).
+TEST(ServeCache, UnsetEngineInCodeResolvesByK) {
+    JobRequest k2 = tinyRequest("k2");
+    k2.seed = 42;
+    ASSERT_TRUE(k2.engine.empty());
+    EXPECT_EQ(resolvedEngine(k2), "clip");
+    EXPECT_EQ(requestFingerprint(k2), 0x44839b38db55f42bull);
+    k2.vcycleThreads = 2;
+    EXPECT_EQ(requestFingerprint(k2), 0x488efe063d869fe0ull);
+
+    JobRequest code = tinyRequest("code");
+    code.k = 4;
+    code.seed = 42;
+    const JobRequest parsed = parseJobRequest(tinyJob("parsed", "\"k\":4,\"seed\":42"));
+    EXPECT_EQ(resolvedEngine(code), "fm");
+    EXPECT_EQ(parsed.engine, "fm");
+    EXPECT_EQ(requestFingerprint(code), requestFingerprint(parsed));
+    EXPECT_NE(requestFingerprint(code), 0xede984f739307251ull);
+
+    const JobOutcome a = executeJob(code, nullptr);
+    const JobOutcome b = executeJob(parsed, nullptr);
+    ASSERT_TRUE(a.status.ok()) << a.status.message;
+    ASSERT_TRUE(b.status.ok()) << b.status.message;
+    EXPECT_EQ(a.cut, b.cut);
+    EXPECT_EQ(a.partitionCrc, b.partitionCrc);
 }
 
 TEST(ServeCache, FingerprintFoldsConfigButNotThreadCounts) {

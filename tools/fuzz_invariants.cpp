@@ -79,6 +79,7 @@
 #include "refine/multistart.h"
 #include "robust/fault_injector.h"
 #include "robust/status.h"
+#include "robust/thread_pool.h"
 
 namespace {
 
@@ -258,8 +259,10 @@ void fuzzMultiStart(const Hypergraph& h, std::mt19937_64& rng) {
 }
 
 /// Differential oracle for the coarsening kernel: coarsen level by level
-/// with a random matcher/ratio and pin induceInto()'s output to the
-/// legacy builder path (induceReference) on every level.
+/// with a random matcher/ratio and pin induceInto()'s output, serial and
+/// on a 3-thread pool with its own workspace, to the legacy builder path
+/// (induceReference) on every level. The pooled leg draws nothing from
+/// `rng`, so every seed's iteration sequence is unchanged.
 void fuzzCoarsenDifferential(const Hypergraph& h0, std::mt19937_64& rng) {
     const CoarsenerKind kinds[] = {CoarsenerKind::kConnectivityMatch,
                                    CoarsenerKind::kRandomMatch,
@@ -269,14 +272,18 @@ void fuzzCoarsenDifferential(const Hypergraph& h0, std::mt19937_64& rng) {
     MatchConfig mc;
     mc.ratio = ratios[rng() % 3];
     CoarsenWorkspace ws;
+    CoarsenWorkspace pooledWs;
+    robust::ThreadPool pool(3);
     Hypergraph h = h0;
     int guard = 0;
     while (h.numModules() > 35 && guard++ < 64) {
         const Clustering c = runMatcher(kind, h, mc, rng);
         if (c.numClusters == h.numModules()) break;
         Hypergraph got = induceInto(h, c, ws);
-        check::enforce(check::verifyIdenticalHypergraphs(got, induceReference(h, c)),
-                       "fuzz coarsen differential");
+        const Hypergraph want = induceReference(h, c);
+        check::enforce(check::verifyIdenticalHypergraphs(got, want), "fuzz coarsen differential");
+        check::enforce(check::verifyIdenticalHypergraphs(induceInto(h, c, pooledWs, &pool), want),
+                       "fuzz coarsen differential (pooled)");
         h = std::move(got);
     }
 }

@@ -5,10 +5,10 @@
 // CLIP engine) with the default 4-pass FM budget — the same defaults as
 // `mlpart partition`, so cuts are directly comparable — or, with -k K > 2,
 // through ML K-way partitioning (T = 100, default KWayConfig), and reports
-// per-phase wall time (coarsen / initial / refine, from
-// MLResult::timings), end-to-end wall time, peak RSS, levels, and cut
-// statistics. Results go to BENCH_ML.json so every
-// PR leaves a perf trajectory point behind.
+// per-phase wall time (coarsen, split into match and induce / initial /
+// refine, from MLResult::timings), end-to-end wall time, peak RSS, levels,
+// and cut statistics. Results go to BENCH_ML.json so every PR leaves a
+// perf trajectory point behind.
 //
 //   mlpart_bench [instances...] [options]
 //     instances       Table I names (e.g. golem3) or *.hgr paths;
@@ -123,6 +123,8 @@ struct InstanceResult {
     Weight bestCut = 0;
     double avgCut = 0.0;
     double coarsenSec = 0.0; ///< summed over all runs
+    double matchSec = 0.0;   ///< coarsenSec's split (MLTimings)
+    double induceSec = 0.0;
     double initialSec = 0.0;
     double refineSec = 0.0;
     double wallSec = 0.0; ///< end-to-end, all runs
@@ -273,6 +275,8 @@ InstanceResult benchInstance(const std::string& name, const Hypergraph& h, const
             r.levels = res.levels;
         }
         r.coarsenSec += res.timings.coarsenSec;
+        r.matchSec += res.timings.matchSec;
+        r.induceSec += res.timings.induceSec;
         r.initialSec += res.timings.initialSec;
         r.refineSec += res.timings.refineSec;
         for (const MLLevelProfile& lp : res.timings.levels) {
@@ -437,6 +441,8 @@ void writeJson(const std::string& path, const Options& o, const std::vector<Inst
           << "      \"best_cut\": " << r.bestCut << ",\n"
           << "      \"avg_cut\": " << r.avgCut << ",\n"
           << "      \"coarsen_sec\": " << r.coarsenSec << ",\n"
+          << "      \"match_sec\": " << r.matchSec << ",\n"
+          << "      \"induce_sec\": " << r.induceSec << ",\n"
           << "      \"initial_sec\": " << r.initialSec << ",\n"
           << "      \"refine_sec\": " << r.refineSec << ",\n"
           << "      \"wall_sec\": " << r.wallSec << ",\n"
@@ -530,10 +536,10 @@ int main(int argc, char** argv) {
         InstanceResult r = benchInstance(name, h, o, o.vcycleThreads);
         r.source = isFile ? "file" : "synthetic";
         results.push_back(r);
-        std::printf("cut %lld (avg %.1f), %.3fs wall [coarsen %.3f, initial %.3f, refine %.3f], "
-                    "levels %d, rss %ld KiB\n",
+        std::printf("cut %lld (avg %.1f), %.3fs wall [coarsen %.3f (match %.3f, induce %.3f), "
+                    "initial %.3f, refine %.3f], levels %d, rss %ld KiB\n",
                     static_cast<long long>(r.bestCut), r.avgCut, r.wallSec, r.coarsenSec,
-                    r.initialSec, r.refineSec, r.levels, r.peakRssKb);
+                    r.matchSec, r.induceSec, r.initialSec, r.refineSec, r.levels, r.peakRssKb);
         if (o.profile) printProfile(r);
         // Thread-scaling sweep rows: same instance under each requested
         // deterministic thread count. Cuts must agree across the sweep

@@ -56,9 +56,6 @@ public:
     [[nodiscard]] Area maxArea() const { return maxArea_; }
     /// Weight of net `e` in cut objectives.
     [[nodiscard]] Weight netWeight(NetId e) const { return netWeights_[e]; }
-    /// Flat per-net weight array (size numNets()) — the refinement
-    /// engines' SIMD classification sweeps (perf/simd.h) consume it whole.
-    [[nodiscard]] const Weight* netWeightData() const { return netWeights_.data(); }
 
     /// Optional human-readable name of module `v` (empty if none were set).
     [[nodiscard]] const std::string& moduleName(ModuleId v) const;

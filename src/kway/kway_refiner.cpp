@@ -284,7 +284,7 @@ void KWayFMRefiner::buildBuckets(const Partition& part) {
         for (PartId q = 0; q < k_; ++q)
             if (p != q) bucket(p, q).clear();
     const ModuleId n = h_.numModules();
-    // Fast path (k <= 64): one SIMD classification of the frozen counts
+    // Fast path (k <= 64): one streaming classification of the frozen counts
     // into per-net ==1/==0 bitmasks, then one net traversal per module
     // yields its gains toward all k targets (moveGainsAll). The realGain_
     // cache is filled in the same sweep — callers must bind it first.

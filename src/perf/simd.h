@@ -1,23 +1,12 @@
-// Portable SIMD kernel layer for the refinement hot path.
+// Pass-start kernels and the per-net hot record of the refinement engines.
 //
-// The FM engines' pass-start sweeps (gain recompute, boundary detection,
-// k-way frozen-gain init) are pure data-parallel classification over flat
-// arrays: interleaved per-net pin counts pc[2e + side], net weights, and
-// active flags. This library provides those sweeps as runtime-dispatched
-// kernels — an AVX2 and an SSE4.2 implementation behind a shim that falls
-// back to portable scalar code — with one hard rule: every tier computes
-// BIT-IDENTICAL results. All arithmetic is exact integer math, lane order
-// never affects a sum, and the differential tests (tests/simd_test.cpp,
-// fuzz_invariants --simd) enforce equality across tiers on every platform.
-//
-// Dispatch is resolved once per process from CPUID, clamped by the
-// MLPART_SIMD environment variable:
-//   MLPART_SIMD=off|scalar   force the scalar fallback (sanitizer CI runs
-//                            this leg so both code paths stay exercised)
-//   MLPART_SIMD=sse4         cap at SSE4.2
-//   MLPART_SIMD=avx2         request AVX2 (clamped to what the CPU has)
-//   MLPART_SIMD=auto / unset highest supported tier
-// Tests may also pin the tier programmatically via forceTier().
+// The FM engines' pass-start sweeps (bucket-build gains, boundary flags,
+// k-way frozen-gain init, the LP pre-pass scores) are pure
+// classification over flat per-net arrays. This library holds them as
+// one portable C++ implementation each. All arithmetic is exact integer
+// math, so no summation order or compiler vectorization can change a
+// result; tests/simd_test.cpp checks every kernel against the formula
+// documented below and pins the partitions they feed.
 #pragma once
 
 #include <cstddef>
@@ -27,23 +16,15 @@
 
 namespace mlpart::perf {
 
-/// Instruction-set tier driving the kernels, ordered by capability.
-enum class SimdTier : int { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
+/// The kernels' instruction-set tier. There is one portable
+/// implementation, so the only tier is kScalar; the name and activeTier()
+/// remain because benchmark reports print them.
+enum class SimdTier : int { kScalar = 0 };
 
 [[nodiscard]] const char* toString(SimdTier t);
 
-/// The tier the kernels run at: min(highest CPU-supported tier, the
-/// MLPART_SIMD cap, any forceTier() override). Resolved lazily, cached.
+/// The tier the kernels run at: always SimdTier::kScalar.
 [[nodiscard]] SimdTier activeTier();
-
-/// Highest tier this CPU supports (ignores the env cap and overrides).
-[[nodiscard]] SimdTier cpuTier();
-
-/// Test hook: pin the dispatch to `t` (clamped to cpuTier()) for this
-/// process until clearForcedTier(). Not thread-safe against concurrent
-/// kernel calls — call from test setup only.
-void forceTier(SimdTier t);
-void clearForcedTier();
 
 /// Per-net hot record for the bipartition engines, sized and aligned so
 /// one 16-byte load covers everything the FM inner loops need about a
@@ -61,37 +42,33 @@ struct alignas(16) NetHot {
 };
 static_assert(sizeof(NetHot) == 16, "NetHot must stay one 16-byte record");
 
-/// Bipartition pass-start net classification. For every net e in [0, m),
-/// with a = (activeNet[e] != 0), p0 = pc[2e], p1 = pc[2e+1], w = weight[e]:
-///
-///   sideGain[e]     = a ? (p0 == 1 ? +w : p1 == 0 ? -w : 0) : 0
-///   sideGain[m + e] = a ? (p1 == 1 ? +w : p0 == 0 ? -w : 0) : 0
-///   cut[e]          = (a && p0 > 0 && p1 > 0) ? 1 : 0
-///
-/// i.e. the classic FM gain contribution of net e to a module on side 0
-/// (plane 0) and side 1 (plane 1), as structure-of-arrays planes, plus a
-/// boundary flag. A module's full gain is then the branch-free sum of its
-/// plane entries (gatherSum). `sideGain` must hold 2*m entries, `cut` m.
-/// `cut` may be nullptr when boundary flags are not needed.
-void classifyNets(const std::int32_t* pc, const char* activeNet, const Weight* netWeight,
-                  std::size_t m, Weight* sideGain, char* cut);
+/// The record of an inactive net.
+inline constexpr NetHot kInactiveNet{{-1, -1}, 0};
 
-/// classifyNets over the AoS NetHot array instead of the three SoA inputs.
-/// Same outputs, bit for bit: for every record n = nets[e],
+/// Bipartition pass-start net classification over NetHot records. For
+/// every record n = nets[e], e in [0, m):
 ///
 ///   sideGain[e]     = n.w * ((n.pc[0] == 1) - (n.pc[1] == 0))
 ///   sideGain[m + e] = n.w * ((n.pc[1] == 1) - (n.pc[0] == 0))
 ///   cut[e]          = (n.pc[0] > 0 && n.pc[1] > 0) ? 1 : 0
 ///
-/// The inactive sentinel (pc = {-1, -1}) satisfies none of the
-/// comparisons, so sentinel rows classify to {0, 0, not-cut} without a
-/// mask. `cut` may be nullptr.
+/// i.e. the classic FM gain contribution of net e to a module on side 0
+/// (plane 0) and side 1 (plane 1), as structure-of-arrays planes, plus a
+/// boundary flag. A module's full gain is then the branch-free sum of its
+/// plane entries (gatherSum). The inactive sentinel (pc = {-1, -1})
+/// satisfies none of the comparisons, so sentinel rows classify to
+/// {0, 0, not-cut} without a mask. `sideGain` must hold 2*m entries,
+/// `cut` m; `cut` may be nullptr when boundary flags are not needed.
 void classifyNetsHot(const NetHot* nets, std::size_t m, Weight* sideGain, char* cut);
 
 /// Sum of plane[idx[i]] for i in [0, count) — the per-module gain gather
-/// over a classification plane. Exact integer math: identical across tiers
-/// and accumulation orders.
-[[nodiscard]] Weight gatherSum(const Weight* plane, const NetId* idx, std::size_t count);
+/// over a classification plane. Exact integer math: any accumulation
+/// order gives the same sum.
+[[nodiscard]] inline Weight gatherSum(const Weight* plane, const NetId* idx, std::size_t count) {
+    Weight s = 0;
+    for (std::size_t i = 0; i < count; ++i) s += plane[static_cast<std::size_t>(idx[i])];
+    return s;
+}
 
 /// K-way pass-start count classification. For every net e in [0, m) with
 /// row counts[e*k .. e*k+k) and a = (activeNet[e] != 0):

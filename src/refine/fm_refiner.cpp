@@ -126,7 +126,7 @@ void FMRefiner::initNetState(const Partition& part) {
     const NetId m = h_.numNets();
     const std::size_t mSz = static_cast<std::size_t>(m);
     ws.activeNet.assign(mSz, 0); // audit hooks read the plain flag array
-    ws.netHot.assign(mSz, perf::NetHot{{-1, -1}, 0}); // inactive sentinel
+    ws.netHot.assign(mSz, perf::kInactiveNet);
     nh_ = ws.netHot.data();
     if (trackLockedPins_) {
         ws.lockedPc.assign(2 * mSz, 0);
@@ -177,15 +177,15 @@ void FMRefiner::buildBuckets(const Partition& part) {
     for (int s = 0; s < 2; ++s) bucket_[s]->clear();
     const ModuleId n = h_.numModules();
     // Pass-start gains, restructured for the memory system. While the
-    // planes fit in cache, one SIMD sweep (perf::classifyNetsHot) folds the
-    // per-net hot records into two branch-free per-net gain planes —
-    // sideGain[s][e] is what a side-s pin of net e contributes — after
-    // which each module's gain is a straight sum over its CSR-contiguous
-    // net list (perf::gatherSum). Past the cache budget the fused
-    // per-module recompute over the same records wins (the plane write
-    // traffic would evict applyMove's working set). Arithmetic and
+    // planes fit in cache, one streaming sweep (perf::classifyNetsHot)
+    // folds the per-net hot records into two branch-free per-net gain
+    // planes — sideGain[s][e] is what a side-s pin of net e contributes —
+    // after which each module's gain is a straight sum over its
+    // CSR-contiguous net list (perf::gatherSum). Past the cache budget the
+    // fused per-module recompute over the same records wins (the plane
+    // write traffic would evict applyMove's working set). Arithmetic and
     // summation order match computeGain() exactly (int64, net order), so
-    // the buckets are bit-identical on every tier and on both paths.
+    // the buckets are bit-identical on both paths.
     const std::size_t mSz = static_cast<std::size_t>(h_.numNets());
     const Weight* plane[2] = {nullptr, nullptr};
     const char* cutFlag = nullptr;

@@ -193,36 +193,40 @@ Weight parallelPrePass(const Hypergraph& h, Partition& part, const BalanceConstr
 
     const ModuleId n = h.numModules();
     const NetId m = h.numNets();
-    ws.activeNet.assign(static_cast<std::size_t>(m), 0);
-    ws.pc.assign(2 * static_cast<std::size_t>(m), 0);
-    // Pin-count init: each net's activeNet flag and [2e], [2e+1] slots are
-    // written only by the chunk that owns net e.
+    const std::size_t mSz = static_cast<std::size_t>(m);
+    // Pin-count init into the same hot records FMRefiner uses: each net's
+    // record is written only by the chunk that owns net e, and oversized
+    // nets get the inactive sentinel.
+    ws.netHot.resize(mSz);
+    perf::NetHot* const nh = ws.netHot.data();
     pool.forChunks(robust::ThreadPool::chunkCount(m, kPrePassChunk),
                    [&](int, std::int64_t chunk) {
                        const NetId lo = static_cast<NetId>(chunk * kPrePassChunk);
                        const NetId hiN = std::min<NetId>(m, static_cast<NetId>(lo + kPrePassChunk));
                        for (NetId e = lo; e < hiN; ++e) {
-                           if (h.netSize(e) > cfg.maxNetSize) continue;
-                           const std::size_t ei = static_cast<std::size_t>(e);
-                           ws.activeNet[ei] = 1;
+                           perf::NetHot& ne = nh[static_cast<std::size_t>(e)];
+                           if (h.netSize(e) > cfg.maxNetSize) {
+                               ne = perf::kInactiveNet;
+                               continue;
+                           }
+                           ne = perf::NetHot{{0, 0}, h.netWeight(e)};
                            for (ModuleId v : h.pins(e))
-                               ws.pc[2 * ei + static_cast<std::size_t>(part.part(v))]++;
+                               ne.pc[static_cast<std::size_t>(part.part(v))]++;
                        }
                    });
 
     ws.gains.assign(static_cast<std::size_t>(n), 0);
-    const std::size_t mSz = static_cast<std::size_t>(m);
     if (ws.netSideGain.size() < 2 * mSz) ws.netSideGain.resize(2 * mSz);
     Weight total = 0;
     for (int round = 0; round < cfg.rounds; ++round) {
         // Score: immediate FM gain of every free module, from pin counts
-        // and the assignment frozen at the round boundary. One SIMD sweep
-        // (perf::classifyNets) turns the frozen counts into per-side gain
-        // planes; each module's score is then a branch-free plane sum —
-        // bit-identical to the per-net probe it replaces. Chunks write
-        // only ws.gains[v] for owned v and read the shared planes.
-        perf::classifyNets(ws.pc.data(), ws.activeNet.data(), h.netWeightData(), mSz,
-                           ws.netSideGain.data(), nullptr);
+        // and the assignment frozen at the round boundary. One streaming
+        // sweep (perf::classifyNetsHot) turns the frozen counts into
+        // per-side gain planes; each module's score is then a branch-free
+        // plane sum, equal to the apply step's per-net probe below.
+        // Chunks write only ws.gains[v] for owned v and read the shared
+        // planes.
+        perf::classifyNetsHot(nh, mSz, ws.netSideGain.data(), nullptr);
         const Weight* const plane[2] = {ws.netSideGain.data(), ws.netSideGain.data() + mSz};
         pool.forChunks(robust::ThreadPool::chunkCount(n, kPrePassChunk),
                        [&](int, std::int64_t chunk) {
@@ -258,19 +262,19 @@ Weight parallelPrePass(const Hypergraph& h, Partition& part, const BalanceConstr
             const std::size_t t = 1 - s;
             Weight g = 0;
             for (NetId e : h.nets(v)) {
-                const std::size_t ei = static_cast<std::size_t>(e);
-                if (!ws.activeNet[ei]) continue;
-                if (ws.pc[2 * ei + s] == 1) g += h.netWeight(e);
-                else if (ws.pc[2 * ei + t] == 0) g -= h.netWeight(e);
+                // The inactive sentinel {-1, -1} matches neither condition.
+                const perf::NetHot& ne = nh[static_cast<std::size_t>(e)];
+                if (ne.pc[s] == 1) g += ne.w;
+                else if (ne.pc[t] == 0) g -= ne.w;
             }
             if (g <= 0) continue;
             if (!bc.allowsMove(part, h.area(v), static_cast<PartId>(s), static_cast<PartId>(t)))
                 continue;
             for (NetId e : h.nets(v)) {
-                const std::size_t ei = static_cast<std::size_t>(e);
-                if (!ws.activeNet[ei]) continue;
-                ws.pc[2 * ei + s]--;
-                ws.pc[2 * ei + t]++;
+                perf::NetHot& ne = nh[static_cast<std::size_t>(e)];
+                if (ne.pc[0] < 0) continue; // inactive
+                ne.pc[s]--;
+                ne.pc[t]++;
             }
             part.move(h, v, static_cast<PartId>(t));
             total += g;

@@ -55,15 +55,14 @@ template <typename T>
 struct Workspace {
     // --- Bipartition FM (FMRefiner) ---
     std::vector<char> activeNet;
-    /// Active-net pin counts per side, interleaved as [2e + side] so both
-    /// sides of a net share a cache line (the engines always touch them in
-    /// pairs).
-    std::vector<std::int32_t> pc;
-    std::vector<std::int32_t> lockedPc; ///< interleaved like pc
+    /// Locked pins per side of each net (lookahead >= 2 only), interleaved
+    /// as [2e + side] so both sides of a net share a cache line.
+    std::vector<std::int32_t> lockedPc;
     /// Per-net hot records ({pc0, pc1, w}, 16 bytes): the one array
     /// FMRefiner's applyMove/undoMoves/computeGain touch per net, so a
     /// random net visit costs one cache line instead of three (counts,
     /// weight, active flag). Inactive nets carry the pc[0] == -1 sentinel.
+    /// The parallel V-cycle's LP pre-pass keeps its pin counts here too.
     std::vector<perf::NetHot> netHot;
     /// Per-module move state, one byte: bit 0 = locked this pass, bit 1 =
     /// CDIP-blocked. Merged so the delta-gain update's eligibility test is
@@ -74,7 +73,7 @@ struct Workspace {
     std::vector<Weight> gains;
     std::vector<FMMove> moves;
     std::vector<ModuleId> lazyInsert;
-    /// Pass-start net classification planes (perf::classifyNets): entry
+    /// Pass-start net classification planes (perf::classifyNetsHot): entry
     /// [s*numNets + e] is what one side-s pin of net e contributes to its
     /// module's gain, given the frozen pass-start pin counts. SoA per side
     /// so buildBuckets' gather-sums stream one contiguous plane.
@@ -124,7 +123,6 @@ struct Workspace {
     void shrinkToFit() {
         using detail::releaseVector;
         releaseVector(activeNet);
-        releaseVector(pc);
         releaseVector(lockedPc);
         releaseVector(netHot);
         releaseVector(moveState);
@@ -157,8 +155,8 @@ struct Workspace {
     /// Bytes of heap capacity currently held across every pooled buffer.
     [[nodiscard]] std::size_t capacityBytes() const {
         using detail::vectorCapacityBytes;
-        std::size_t n = vectorCapacityBytes(activeNet) + vectorCapacityBytes(pc) +
-                        vectorCapacityBytes(lockedPc) + vectorCapacityBytes(netHot) +
+        std::size_t n = vectorCapacityBytes(activeNet) + vectorCapacityBytes(lockedPc) +
+                        vectorCapacityBytes(netHot) +
                         vectorCapacityBytes(moveState) + vectorCapacityBytes(moveCount) +
                         vectorCapacityBytes(gains) +
                         vectorCapacityBytes(moves) + vectorCapacityBytes(lazyInsert) +

@@ -36,14 +36,8 @@
 // final partition must verify — a fault that leaks across lanes or
 // perturbs a surviving lane's result fails the run.
 //
-// With --simd, each iteration instead runs the dispatch-tier differential:
-// one random flat-FM / k-way / multilevel configuration executed once per
-// available SIMD tier (scalar always; SSE4.2/AVX2 when the CPU has them,
-// pinned via perf::forceTier). The cut AND the full per-module assignment
-// must be bit-identical across every tier, or the run fails.
-//
 // Usage: fuzz_invariants [--iterations N] [--seed S] [--modules M]
-//                        [--inject] [--checkpoint] [--parallel] [--simd]
+//                        [--inject] [--checkpoint] [--parallel] [--portfolio]
 //                        [--verbose]
 
 #include <algorithm>
@@ -73,7 +67,6 @@
 #include "gen/rent_generator.h"
 #include "hypergraph/partition.h"
 #include "kway/kway_refiner.h"
-#include "perf/simd.h"
 #include "portfolio/portfolio.h"
 #include "refine/fm_refiner.h"
 #include "refine/multistart.h"
@@ -92,7 +85,6 @@ struct Options {
     bool inject = false;    ///< randomly arm the fault injector per iteration
     bool checkpoint = false; ///< kill-point / resume equivalence protocol
     bool parallel = false;   ///< thread-determinism differential mode
-    bool simd = false;       ///< dispatch-tier differential mode
     bool portfolio = false;  ///< portfolio lane-containment differential mode
     bool verbose = false;
 };
@@ -100,7 +92,7 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--iterations N] [--seed S] [--modules M] [--inject] "
-                 "[--checkpoint] [--parallel] [--simd] [--portfolio] [--verbose]\n",
+                 "[--checkpoint] [--parallel] [--portfolio] [--verbose]\n",
                  argv0);
     std::exit(2);
 }
@@ -119,7 +111,6 @@ Options parseArgs(int argc, char** argv) {
         else if (a == "--inject") opt.inject = true;
         else if (a == "--checkpoint") opt.checkpoint = true;
         else if (a == "--parallel") opt.parallel = true;
-        else if (a == "--simd") opt.simd = true;
         else if (a == "--portfolio") opt.portfolio = true;
         else if (a == "--verbose") opt.verbose = true;
         else usage(argv[0]);
@@ -338,79 +329,6 @@ void fuzzParallelDifferential(const Hypergraph& h, std::mt19937_64& rng, const O
     verifyResult(h, got.partition, bc, got.cut, "fuzz parallel differential");
 }
 
-/// Dispatch-tier differential: the same configuration and seed executed at
-/// every SIMD tier this CPU supports must produce bit-identical
-/// partitions. The tier is pinned around each run via perf::forceTier;
-/// scalar is the oracle.
-void fuzzSimdDifferential(const Hypergraph& h, std::mt19937_64& rng, const Options& opt, int it) {
-    const int mode = static_cast<int>(rng() % 3); // flat2 / flatK / ml
-    const FMConfig fmCfg = randomFMConfig(rng);
-    const KWayConfig kwCfg = randomKWayConfig(rng);
-    MLConfig mlCfg;
-    mlCfg.k = (rng() % 3 == 0) ? 4 : 2;
-    const double ratios[] = {1.0, 0.5, 0.33};
-    mlCfg.matchingRatio = ratios[rng() % 3];
-    const CoarsenerKind kinds[] = {CoarsenerKind::kConnectivityMatch,
-                                   CoarsenerKind::kRandomMatch,
-                                   CoarsenerKind::kHeavyEdgeMatch};
-    mlCfg.coarsener = kinds[rng() % 3];
-    mlCfg.coarseningThreshold = mlCfg.k == 2 ? 35 : 100;
-    const std::uint64_t runSeed = rng();
-
-    struct TierResult {
-        Weight cut = 0;
-        std::vector<PartId> assign;
-    };
-    auto runAt = [&](perf::SimdTier tier) {
-        perf::forceTier(tier);
-        std::mt19937_64 r(runSeed);
-        TierResult out;
-        if (mode == 0) {
-            const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
-            Partition p = randomPartition(h, 2, bc, r);
-            FMRefiner fm(h, fmCfg);
-            out.cut = fm.refine(p, bc, r);
-            const auto a = p.assignment();
-            out.assign.assign(a.begin(), a.end());
-        } else if (mode == 1) {
-            const PartId k = 3 + static_cast<PartId>(runSeed % 2);
-            const auto bc = BalanceConstraint::forRefinement(h, k, 0.1);
-            Partition p = randomPartition(h, k, bc, r);
-            KWayFMRefiner kw(h, kwCfg);
-            out.cut = kw.refine(p, bc, r);
-            const auto a = p.assignment();
-            out.assign.assign(a.begin(), a.end());
-        } else {
-            RefinerFactory factory = mlCfg.k == 2 ? makeFMFactory(fmCfg)
-                                                  : makeKWayFactory(kwCfg);
-            MultilevelPartitioner ml(mlCfg, std::move(factory));
-            const MLResult res = ml.run(h, r);
-            out.cut = res.cut;
-            const auto a = res.partition.assignment();
-            out.assign.assign(a.begin(), a.end());
-        }
-        perf::clearForcedTier();
-        return out;
-    };
-
-    const TierResult oracle = runAt(perf::SimdTier::kScalar);
-    for (const perf::SimdTier tier : {perf::SimdTier::kSse4, perf::SimdTier::kAvx2}) {
-        if (perf::cpuTier() < tier) continue;
-        const TierResult got = runAt(tier);
-        if (got.cut != oracle.cut || got.assign != oracle.assign) {
-            std::fprintf(stderr,
-                         "fuzz_invariants: iter %d: tier %s diverged from scalar "
-                         "(mode %d, cut %lld vs %lld)\n",
-                         it, perf::toString(tier), mode, static_cast<long long>(got.cut),
-                         static_cast<long long>(oracle.cut));
-            std::exit(1);
-        }
-    }
-    if (opt.verbose)
-        std::fprintf(stderr, "iter %d: mode=%d cut %lld identical across tiers (cpu %s)\n", it,
-                     mode, static_cast<long long>(oracle.cut), perf::toString(perf::cpuTier()));
-}
-
 /// Portfolio lane-containment differential (see file comment). Exits 1
 /// on any containment or determinism violation.
 void fuzzPortfolioDifferential(const Hypergraph& h, std::mt19937_64& rng, const Options& opt,
@@ -613,19 +531,6 @@ int main(int argc, char** argv) {
         }
         std::printf("fuzz_invariants: %d portfolio iterations fault-contained (seed %llu)\n",
                     opt.iterations, static_cast<unsigned long long>(opt.seed));
-        return 0;
-    }
-    if (opt.simd) {
-        for (int it = 0; it < opt.iterations; ++it) {
-            std::string label;
-            const Hypergraph h = makeCircuit(opt.modules, rng, label);
-            if (opt.verbose) std::fprintf(stderr, "iter %d: %s mode=simd\n", it, label.c_str());
-            fuzzSimdDifferential(h, rng, opt, it);
-        }
-        std::printf("fuzz_invariants: %d simd-tier iterations bit-identical "
-                    "(seed %llu, cpu %s)\n",
-                    opt.iterations, static_cast<unsigned long long>(opt.seed),
-                    perf::toString(perf::cpuTier()));
         return 0;
     }
     if (opt.checkpoint) {

@@ -62,10 +62,6 @@
 //                     (default 50; RSS is a process-wide high-water mark,
 //                     so it is gated separately and more loosely than
 //                     wall time)
-//
-// The selected SIMD dispatch tier (perf/simd.h — avx2/sse4/scalar, capped
-// by the MLPART_SIMD env var) is printed at startup and recorded in the
-// JSON; cuts are bit-identical across tiers, only speed differs.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -87,7 +83,6 @@
 #include "core/multilevel.h"
 #include "core/parallel_multistart.h" // defaultEngine
 #include "kway/kway_refiner.h"
-#include "perf/simd.h"
 #include "portfolio/portfolio.h"
 #include "refine/multistart.h"
 
@@ -422,7 +417,6 @@ void writeJson(const std::string& path, const Options& o, const std::vector<Inst
       << "  \"schema\": \"mlpart-bench-v1\",\n"
       << "  \"engine\": \"" << o.engine << "\",\n"
       << "  \"k\": " << o.k << ",\n"
-      << "  \"simd_tier\": \"" << perf::toString(perf::activeTier()) << "\",\n"
       << "  \"seed\": " << o.seed << ",\n"
       << "  \"threads\": " << o.threads << ",\n"
       << "  \"vcycle_threads\": " << o.vcycleThreads << ",\n"
@@ -520,8 +514,6 @@ std::map<std::string, BaselineEntry> readBaseline(const std::string& path) {
 
 int main(int argc, char** argv) {
     const Options o = parseOptions(argc, argv);
-    std::cout << "simd: " << perf::toString(perf::activeTier()) << " (cpu "
-              << perf::toString(perf::cpuTier()) << ")\n";
 
     std::vector<InstanceResult> results;
     EngineAgg engineAgg[portfolio::kEngineCount];

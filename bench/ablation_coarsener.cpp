@@ -23,7 +23,7 @@ int main() {
         RunStats stats[3];
         double secs[3];
         for (int ki = 0; ki < 3; ++ki) {
-            MLConfig cfg;
+            MLConfig cfg = bench::paperML();
             cfg.coarsener = kinds[ki];
             MultilevelPartitioner ml(cfg, makeFMFactory(bench::paperFM()));
             std::mt19937_64 rng(0xAB1 + static_cast<std::uint64_t>(ki));

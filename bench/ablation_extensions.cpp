@@ -30,7 +30,7 @@ int main() {
         const Hypergraph h = benchmarkInstance(name, env.scale);
         std::vector<double> avg, cpu;
         for (const Variant& variant : variants) {
-            MLConfig cfg;
+            MLConfig cfg = bench::paperML();
             MultilevelPartitioner ml(cfg, makeFMFactory(variant.cfg));
             std::mt19937_64 rng(0xAB2);
             RunStats stats;

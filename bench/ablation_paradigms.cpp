@@ -42,7 +42,7 @@ int main() {
                 spectral.add(static_cast<double>(fm.refine(p, bc, rng3)));
             }
 
-            MultilevelPartitioner mlp(MLConfig{}, makeFMFactory(bench::paperFM()));
+            MultilevelPartitioner mlp(bench::paperML(), makeFMFactory(bench::paperFM()));
             std::mt19937_64 rng4(0xAB9);
             for (int run = 0; run < env.runs; ++run)
                 ml.add(static_cast<double>(mlp.run(h, rng4).cut));

@@ -31,14 +31,14 @@ int main() {
                 if (seconds != nullptr) *seconds = w.seconds();
                 return stats.mean();
             };
-            MLConfig base;
-            MLConfig two;
+            MLConfig base = bench::paperML();
+            MLConfig two = bench::paperML();
             two.vCycles = 2;
-            MLConfig three;
+            MLConfig three = bench::paperML();
             three.vCycles = 3;
-            MLConfig starts;
+            MLConfig starts = bench::paperML();
             starts.coarsestStarts = 8;
-            MLConfig lsmc;
+            MLConfig lsmc = bench::paperML();
             lsmc.coarsestLSMCDescents = 16;
             double cpu1 = 0, cpu3 = 0;
             const double a1 = runML(base, &cpu1);
@@ -60,7 +60,7 @@ int main() {
             const Hypergraph h = benchmarkInstance(name, env.scale);
             RunStats direct, recur;
             {
-                MLConfig cfg;
+                MLConfig cfg = bench::paperML();
                 cfg.k = 4;
                 cfg.coarseningThreshold = 100;
                 MultilevelPartitioner ml(cfg, makeKWayFactory(bench::paperKWay()));
@@ -71,7 +71,7 @@ int main() {
             {
                 std::mt19937_64 rng(0xAB5);
                 for (int run = 0; run < env.runs; ++run) {
-                    const Partition p = recursiveBisection(h, 4, MLConfig{},
+                    const Partition p = recursiveBisection(h, 4, bench::paperML(),
                                                            makeFMFactory(bench::paperFM()), rng);
                     recur.add(static_cast<double>(cutNets(h, p)));
                 }

@@ -16,6 +16,7 @@
 #include "analysis/env.h"
 #include "analysis/run_stats.h"
 #include "analysis/table.h"
+#include "core/multilevel.h"
 #include "gen/benchmark_suite.h"
 #include "hypergraph/hypergraph.h"
 #include "kway/kway_config.h"
@@ -60,6 +61,16 @@ inline FMConfig paperFM() {
 inline KWayConfig paperKWay() {
     KWayConfig cfg;
     cfg.moveWindow = kPaperMoveWindow;
+    return cfg;
+}
+
+/// The V-cycle as the paper runs it: MLConfig defaults without the LP
+/// pre-pass, so every level goes straight from projection to the engine
+/// (Fig. 2, §III.B). Every table, figure and ablation binary builds its
+/// MLConfig from this.
+inline MLConfig paperML() {
+    MLConfig cfg;
+    cfg.prePassMinModules = 0;
     return cfg;
 }
 

@@ -29,7 +29,7 @@ int main() {
         std::vector<std::string> levels;
         for (const std::string& name : circuits) {
             const Hypergraph h = benchmarkInstance(name, env.scale);
-            MLConfig cfg;
+            MLConfig cfg = bench::paperML();
             cfg.matchingRatio = r;
             MultilevelPartitioner ml(cfg, makeFMFactory(clip));
             std::mt19937_64 rng(0xF40 + static_cast<std::uint64_t>(ri));

@@ -20,7 +20,7 @@ int main() {
     FMConfig fmCfg = bench::paperFM();
     FMConfig clipCfg = bench::paperFM();
     clipCfg.variant = EngineVariant::kCLIP;
-    MLConfig mlCfg; // T = 35, R = 1 defaults
+    MLConfig mlCfg = bench::paperML(); // T = 35, R = 1 defaults
 
     Table t({"Test", "MIN clip", "MIN mlf", "MIN mlc", "AVG clip", "AVG mlf", "AVG mlc",
              "CPU clip", "CPU mlf", "CPU mlc"});

@@ -25,7 +25,7 @@ int main() {
         RunStats stats[3];
         double secs[3];
         for (int ri = 0; ri < 3; ++ri) {
-            MLConfig cfg;
+            MLConfig cfg = bench::paperML();
             cfg.matchingRatio = ratios[ri];
             MultilevelPartitioner ml(cfg, makeFMFactory(clip));
             std::mt19937_64 rng(0x601 + static_cast<std::uint64_t>(ri));

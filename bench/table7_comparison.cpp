@@ -50,7 +50,7 @@ int main() {
     FMConfig cdipLa3 = clipLa3;
     cdipLa3.cdip = true;
 
-    MLConfig mlCfg;
+    MLConfig mlCfg = bench::paperML();
     mlCfg.matchingRatio = 0.5;
 
     std::vector<AlgoResult> algos = {{"MLc(N)", {}},    {"MLc(N/10)", {}}, {"GMet*", {}},
@@ -81,6 +81,7 @@ int main() {
             HybridConfig hc;
             hc.populationSize = std::max(2, env.runs / 3);
             hc.generations = env.runs - hc.populationSize;
+            hc.ml = bench::paperML();
             HybridMultiStart hybrid(hc, makeFMFactory(fmCfg));
             std::mt19937_64 rng(0x708);
             algos[2].minCut.push_back(static_cast<double>(hybrid.run(h, rng).cut));

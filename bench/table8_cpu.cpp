@@ -26,7 +26,7 @@ int main() {
     clipLa3.lookahead = 3;
     FMConfig cdipLa3 = clipLa3;
     cdipLa3.cdip = true;
-    MLConfig mlCfg;
+    MLConfig mlCfg = bench::paperML();
     mlCfg.matchingRatio = 0.5;
 
     Table t({"Test", "MLc", "FM", "CLIP", "CL-LA3f", "CD-LA3f", "CL-PRf", "LSMC"});

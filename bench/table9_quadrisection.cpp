@@ -19,7 +19,7 @@ int main() {
     const BenchEnv env = benchEnv(/*defaultRuns=*/5, /*defaultScale=*/0.4);
     bench::printHeader("Table IX: quadrisection — # cut nets", env);
 
-    MLConfig mlCfg;
+    MLConfig mlCfg = bench::paperML();
     mlCfg.k = 4;
     mlCfg.coarseningThreshold = 100; // the paper's quadrisection setting
     const KWayConfig kwayCfg = bench::paperKWay(); // sum-of-degrees gains (paper default)

@@ -39,8 +39,9 @@ MultilevelPartitioner::MultilevelPartitioner(MLConfig cfg, RefinerFactory refine
         throw std::invalid_argument("MultilevelPartitioner: targetFractions size must equal k");
     if (cfg_.vcycleThreads < 0 || cfg_.vcycleThreads > 512)
         throw std::invalid_argument("MultilevelPartitioner: vcycleThreads must be in [0, 512]");
-    if (cfg_.prePassMinModules < 2)
-        throw std::invalid_argument("MultilevelPartitioner: prePassMinModules must be >= 2");
+    if (cfg_.prePassMinModules < 0 || cfg_.prePassMinModules == 1)
+        throw std::invalid_argument(
+            "MultilevelPartitioner: prePassMinModules must be 0 (off) or >= 2");
 }
 
 namespace {
@@ -126,10 +127,15 @@ Partition MultilevelPartitioner::runCycle(const Hypergraph& h0, std::mt19937_64&
     }
 
     // Parallel mode (vcycleThreads > 0): the deterministic synchronous
-    // algorithms on the workspace's persistent pool. The serial legacy
-    // path stays byte-identical when off (pool == nullptr everywhere).
+    // algorithms on the workspace's persistent pool. Serial mode matches
+    // and induces on the calling thread (pool == nullptr) and runs the LP
+    // pre-pass on a caller-only pool, which spawns no thread and leaves
+    // the workspace's pool alone (serve hands one workspace to jobs of
+    // either mode). The pre-pass is bit-identical for every pool size.
     robust::ThreadPool* pool =
         cfg_.vcycleThreads > 0 ? &ws.ensurePool(cfg_.vcycleThreads) : nullptr;
+    robust::ThreadPool callerOnly(1);
+    robust::ThreadPool& prePassPool = pool != nullptr ? *pool : callerOnly;
 
     // MLTimings' match/induce split: one clock read per phase boundary,
     // none when the caller asked for no timings.
@@ -264,7 +270,7 @@ Partition MultilevelPartitioner::runCycle(const Hypergraph& h0, std::mt19937_64&
         }
     }
 
-    if (profile) timings->levels.push_back({m, hm.numModules(), coarsestProf});
+    if (profile) timings->levels.push_back({m, hm.numModules(), coarsestProf, 0, 0});
     initialTimer.stop();
 
     // ---- Uncoarsening phase (steps 7-9) ----
@@ -312,13 +318,15 @@ Partition MultilevelPartitioner::runCycle(const Hypergraph& h0, std::mt19937_64&
         // Refinement is optional work once the budget is gone; the project
         // and rebalance steps above are mandatory for a valid result.
         if (!deadline.expired()) {
-            // Parallel mode, large bipartition levels: the deterministic
-            // LP-style pre-pass harvests the easy gains concurrently, then
-            // hands off to the serial engine below (which keeps the final
-            // say at every level).
-            if (pool != nullptr && cfg_.k == 2 && hi.numModules() >= cfg_.prePassMinModules) {
+            // Large bipartition levels, in both modes: the deterministic
+            // LP-style pre-pass takes the single positive moves, then hands
+            // off to the engine below (which keeps the final say at every
+            // level).
+            PrePassResult pre;
+            if (cfg_.k == 2 && cfg_.prePassMinModules > 0 &&
+                hi.numModules() >= cfg_.prePassMinModules) {
                 const std::vector<char> fixed = fixedMask(i);
-                (void)parallelPrePass(hi, projected, bcI, fixed, *pool, ws.refine);
+                pre = parallelPrePass(hi, projected, bcI, fixed, prePassPool, ws.refine);
 #if MLPART_CHECK_INVARIANTS
                 check::enforce(check::verifyPartition(hi, projected),
                                "MultilevelPartitioner::parallelPrePass");
@@ -338,7 +346,8 @@ Partition MultilevelPartitioner::runCycle(const Hypergraph& h0, std::mt19937_64&
 #else
             refiner->refine(projected, bcI, rng);
 #endif
-            if (profile) timings->levels.push_back({i, hi.numModules(), levelProf});
+            if (profile)
+                timings->levels.push_back({i, hi.numModules(), levelProf, pre.moves, pre.gain});
         }
         curPart = std::move(projected);
     }
@@ -446,11 +455,16 @@ std::uint64_t configFingerprint(const MLConfig& cfg) {
     // result-relevant config change — but the thread *count* is not: any
     // vcycleThreads >= 1 produces identical results, and hashing the count
     // would spuriously invalidate checkpoints between machines. Folding
-    // only when on also preserves every legacy fingerprint; the revision
-    // retires checkpoints written by older parallel algorithms.
+    // only when on also preserves every serial fingerprint; the revision
+    // retires checkpoints written by older parallel algorithms. The
+    // pre-pass threshold changes results in parallel mode and at k = 2 in
+    // serial mode; serial k > 2 fingerprints leave it out and stay as
+    // they were.
     if (cfg.vcycleThreads > 0) {
         f = hashCombine(f, 0x50415221ull /* "PAR!" */);
         f = hashCombine(f, kParallelVCycleRevision);
+        f = hashCombine(f, static_cast<std::uint64_t>(cfg.prePassMinModules));
+    } else if (cfg.k == 2) {
         f = hashCombine(f, static_cast<std::uint64_t>(cfg.prePassMinModules));
     }
     // profileRefinement is observation-only (never changes results) and is

@@ -71,11 +71,14 @@ private:
 };
 
 /// Refinement profile of one hierarchy level of one V-cycle: the engine's
-/// segment counters (refine/profile.h) plus the level's identity.
+/// segment counters (refine/profile.h) plus the level's identity and what
+/// the LP pre-pass did there (both 0 on levels it skips).
 struct MLLevelProfile {
     int level = 0;       ///< hierarchy level: m = coarsest, 0 = flat netlist
     ModuleId modules = 0; ///< |V_level|
     refine::RefineProfile refine;
+    std::int64_t prePassMoves = 0; ///< moves the LP pre-pass applied
+    Weight prePassGain = 0;        ///< cut reduction of those moves
 };
 
 /// Wall-clock seconds per V-cycle phase, accumulated over all cycles of a
@@ -150,15 +153,16 @@ struct MLConfig {
     /// solutions. Empty = unconstrained.
     std::vector<PartId> matchGroups;
     /// Deterministic in-process parallelism for the V-cycle. 0 (default)
-    /// = the legacy serial algorithms, byte-identical to prior releases.
-    /// >= 1 switches to the synchronous parallel algorithms (round-based
-    /// matching, chunked coarsening, LP pre-pass) whose results are
+    /// = serial mode: the paper's Match and serial induce on the calling
+    /// thread. >= 1 switches to the synchronous parallel algorithms
+    /// (mutual-proposal matching, chunked induce) whose results are
     /// bit-identical for EVERY value >= 1 — the thread count is an
     /// execution resource, never an input (DESIGN.md §12).
     int vcycleThreads = 0;
-    /// Parallel mode only, k = 2 only: levels with at least this many
-    /// modules get the deterministic LP-style refinement pre-pass before
-    /// serial FM; smaller levels go straight to FM.
+    /// k = 2 only, in both modes: levels with at least this many modules
+    /// get the deterministic LP-style refinement pre-pass before FM;
+    /// smaller levels go straight to FM. 0 = never (the paper's V-cycle,
+    /// bench::paperML()); otherwise it must be >= 2.
     ModuleId prePassMinModules = 4096;
     /// Collect per-level refinement profiles into MLTimings::levels
     /// (mlpart_bench --profile). Observation only — never changes results —

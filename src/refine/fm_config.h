@@ -25,13 +25,14 @@ enum class EngineVariant {
 /// LSMC and two-phase comparators, the follow-up FM of Table VII).
 inline constexpr int kPaperMaxPasses = 64;
 
-/// Revision of what a default-config FMRefiner computes. Bump it whenever
-/// a change alters default bisection results: engineFingerprintSalt
-/// (core/parallel_multistart.h) folds it for k = 2, so checkpoints and
-/// cached serve results of an older revision read as stale while k > 2
-/// ones survive. Revision 1 stopped at the first pass without gain
-/// (kPaperMaxPasses); 2 adds the 4-pass budget.
-inline constexpr std::uint64_t kBisectionEngineRevision = 2;
+/// Revision of the default k = 2 ML results (a default-config FMRefiner
+/// inside the default V-cycle). Bump it whenever a change alters them:
+/// engineFingerprintSalt (core/parallel_multistart.h) folds it for k = 2,
+/// so checkpoints and cached serve results of an older revision read as
+/// stale while k > 2 ones survive. Revision 1 stopped at the first pass
+/// without gain (kPaperMaxPasses); 2 adds the 4-pass budget; 3 runs the
+/// LP pre-pass in the serial V-cycle too (MLConfig::prePassMinModules).
+inline constexpr std::uint64_t kBisectionEngineRevision = 3;
 
 /// All knobs of the bipartition refinement engine. Defaults follow the
 /// paper's configuration — LIFO buckets, r = 0.1 tolerance, nets with more

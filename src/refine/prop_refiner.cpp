@@ -182,9 +182,9 @@ constexpr std::int64_t kPrePassChunk = 2048;
 
 } // namespace
 
-Weight parallelPrePass(const Hypergraph& h, Partition& part, const BalanceConstraint& bc,
-                       const std::vector<char>& fixedMask, robust::ThreadPool& pool,
-                       refine::Workspace& ws, const PrePassConfig& cfg) {
+PrePassResult parallelPrePass(const Hypergraph& h, Partition& part, const BalanceConstraint& bc,
+                              const std::vector<char>& fixedMask, robust::ThreadPool& pool,
+                              refine::Workspace& ws, const PrePassConfig& cfg) {
     if (part.numParts() != 2) throw std::invalid_argument("parallelPrePass: requires a bipartition");
     if (!fixedMask.empty() && fixedMask.size() != static_cast<std::size_t>(h.numModules()))
         throw std::invalid_argument("parallelPrePass: fixed mask size mismatch");
@@ -217,7 +217,7 @@ Weight parallelPrePass(const Hypergraph& h, Partition& part, const BalanceConstr
 
     ws.gains.assign(static_cast<std::size_t>(n), 0);
     if (ws.netSideGain.size() < 2 * mSz) ws.netSideGain.resize(2 * mSz);
-    Weight total = 0;
+    PrePassResult total;
     for (int round = 0; round < cfg.rounds; ++round) {
         // Score: immediate FM gain of every free module, from pin counts
         // and the assignment frozen at the round boundary. One streaming
@@ -277,9 +277,10 @@ Weight parallelPrePass(const Hypergraph& h, Partition& part, const BalanceConstr
                 ne.pc[t]++;
             }
             part.move(h, v, static_cast<PartId>(t));
-            total += g;
+            total.gain += g;
             ++applied;
         }
+        total.moves += applied;
         if (applied == 0) break;
     }
     return total;

@@ -92,20 +92,26 @@ struct PrePassConfig {
     int maxNetSize = 200;  ///< nets larger than this are ignored
 };
 
+/// What one parallelPrePass() call did.
+struct PrePassResult {
+    Weight gain = 0;        ///< total cut reduction
+    std::int64_t moves = 0; ///< moves applied, over all rounds
+};
+
 /// Deterministic label-propagation-style parallel refinement pre-pass for
-/// the coarse levels of the parallel V-cycle (bipartitions only). Each
-/// round scores every free module's immediate FM gain *in parallel* from
-/// pin counts frozen at the round boundary (chunk-confined writes into
-/// ws.gains), then applies the positive-gain candidates *serially* in
-/// (gain desc, id asc) order, recomputing each move's live delta and
-/// honouring `bc` — so the result is bit-identical for every thread
-/// count. It is a cheap cut reducer on levels too large for serial FM to
-/// start from scratch; FM still runs afterwards and keeps the final say.
-/// Returns the total cut reduction achieved.
-[[nodiscard]] Weight parallelPrePass(const Hypergraph& h, Partition& part,
-                                     const BalanceConstraint& bc,
-                                     const std::vector<char>& fixedMask,
-                                     robust::ThreadPool& pool, refine::Workspace& ws,
-                                     const PrePassConfig& cfg = {});
+/// the large levels of the V-cycle (bipartitions only). Each round scores
+/// every free module's immediate FM gain *in parallel* from pin counts
+/// frozen at the round boundary (chunk-confined writes into ws.gains),
+/// then applies the positive-gain candidates *serially* in (gain desc,
+/// id asc) order, recomputing each move's live delta and honouring `bc`
+/// — so the result is bit-identical for every thread count, a one-thread
+/// (caller-only) pool included. It takes the single positive moves that
+/// would otherwise cost FM whole passes; FM still runs afterwards and
+/// keeps the final say.
+[[nodiscard]] PrePassResult parallelPrePass(const Hypergraph& h, Partition& part,
+                                            const BalanceConstraint& bc,
+                                            const std::vector<char>& fixedMask,
+                                            robust::ThreadPool& pool, refine::Workspace& ws,
+                                            const PrePassConfig& cfg = {});
 
 } // namespace mlpart

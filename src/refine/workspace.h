@@ -62,14 +62,14 @@ struct Workspace {
     /// FMRefiner's applyMove/undoMoves/computeGain touch per net, so a
     /// random net visit costs one cache line instead of three (counts,
     /// weight, active flag). Inactive nets carry the pc[0] == -1 sentinel.
-    /// The parallel V-cycle's LP pre-pass keeps its pin counts here too.
+    /// The V-cycle's LP pre-pass keeps its pin counts here too.
     std::vector<perf::NetHot> netHot;
     /// Per-module move state, one byte: bit 0 = locked this pass, bit 1 =
     /// CDIP-blocked. Merged so the delta-gain update's eligibility test is
     /// a single load.
     std::vector<char> moveState;
     std::vector<std::int32_t> moveCount;
-    /// Per-module gains of the parallel V-cycle's LP pre-pass.
+    /// Per-module gains of the V-cycle's LP pre-pass.
     std::vector<Weight> gains;
     std::vector<FMMove> moves;
     std::vector<ModuleId> lazyInsert;

@@ -47,8 +47,8 @@ struct JobRequest {
     std::int32_t runs = 4;
     std::int32_t threads = 1;    ///< worker-internal multi-start threads
     /// Deterministic parallel V-cycle threads per start (MLConfig::
-    /// vcycleThreads): 0 = legacy serial path, >= 1 bit-identical for
-    /// every value.
+    /// vcycleThreads): 0 = serial mode (the paper's Match), >= 1 =
+    /// proposal matching, bit-identical for every value.
     std::int32_t vcycleThreads = 0;
     std::uint64_t seed = 1;
     double deadlineSeconds = 0;  ///< per-attempt budget; 0 = service default

@@ -104,14 +104,31 @@ TEST(Hashing, ConfigFingerprintSeesEveryTuningKnob) {
     b = a;
     b.targetFractions = {0.5, 0.5};
     EXPECT_NE(configFingerprint(b), base);
+    // The pre-pass threshold changes serial k = 2 results too...
+    b = a;
+    b.prePassMinModules = 0;
+    EXPECT_NE(configFingerprint(b), base);
+    // ...but no serial k > 2 result, so those fingerprints leave it out.
+    b = a;
+    b.k = 4;
+    MLConfig c = b;
+    c.prePassMinModules = 0;
+    EXPECT_EQ(configFingerprint(c), configFingerprint(b));
 }
 
 /// Literals written by revision 1 of the parallel V-cycle (mutual-proposal
-/// matching alone). Serial checkpoints must keep resuming across the
-/// revision bump; parallel ones must read as stale.
+/// matching alone), and the serial k = 2 one from before the serial
+/// V-cycle ran the LP pre-pass. Serial checkpoints kept resuming across
+/// the parallel revision bump; parallel ones must read as stale. Since
+/// the pre-pass threshold became a serial k = 2 knob, the old serial k = 2
+/// fingerprint is stale too, while serial k > 2 ones stay as they were.
 TEST(Hashing, ConfigFingerprintRetiresOnlyOlderParallelRevisions) {
     MLConfig serial;
-    EXPECT_EQ(configFingerprint(serial), 0x498287c4e392c721ull);
+    EXPECT_NE(configFingerprint(serial), 0x498287c4e392c721ull);
+    EXPECT_EQ(configFingerprint(serial), 0x1aaab13239133bdbull);
+    MLConfig serialK4;
+    serialK4.k = 4;
+    EXPECT_EQ(configFingerprint(serialK4), 0x98fbd7a7b4f30ee4ull);
     MLConfig parallel;
     parallel.vcycleThreads = 4;
     EXPECT_NE(configFingerprint(parallel), 0x7d3f2b618292583aull);
@@ -120,18 +137,22 @@ TEST(Hashing, ConfigFingerprintRetiresOnlyOlderParallelRevisions) {
 /// Salts the mlpart CLI and serve workers gave checkpoints before the
 /// engines had revisions ("ENG" + engine name). k = 2 runs changed under
 /// the bisection pass budget and k > 2 runs under the k-way move window,
-/// so checkpoints with those salts must read as stale. The bisection
-/// revision's own k = 2 salts stay pinned: the k-way revision must not
-/// retire bisection checkpoints.
+/// so checkpoints with those salts must read as stale. Bisection revision
+/// 3 (the LP pre-pass in the serial V-cycle) retires revision 2's k = 2
+/// salts and must not retire k-way checkpoints: the k > 2 salts stay
+/// pinned.
 TEST(Hashing, EngineSaltRetiresOnlyBisectionCheckpoints) {
     EXPECT_NE(engineFingerprintSalt("clip", 2), 0x18083c88f3d5af5eull);
     EXPECT_NE(engineFingerprintSalt("fm", 2), 0xd7e525dcbcedefc9ull);
-    EXPECT_EQ(engineFingerprintSalt("clip", 2), 0x80cb206bc97650b2ull);
-    EXPECT_EQ(engineFingerprintSalt("fm", 2), 0xbfbbbaf8996f3f7dull);
+    EXPECT_NE(engineFingerprintSalt("clip", 2), 0x80cb206bc97650b2ull);
+    EXPECT_NE(engineFingerprintSalt("fm", 2), 0xbfbbbaf8996f3f7dull);
+    EXPECT_EQ(engineFingerprintSalt("clip", 2), 0xefc6d20d0a2a909aull);
+    EXPECT_EQ(engineFingerprintSalt("fm", 2), 0xbe95e7a738c72de8ull);
     EXPECT_NE(engineFingerprintSalt("clip", 4), 0x18083c88f3d5af5eull);
     EXPECT_NE(engineFingerprintSalt("fm", 4), 0xd7e525dcbcedefc9ull);
-    // Both engines are at revision 2, so their salts coincide; k itself
-    // is folded by configFingerprint and serve::requestFingerprint.
+    // The k-way engine is at revision 2, so its salts equal the retired
+    // revision-2 bisection salts; k itself is folded by configFingerprint
+    // and serve::requestFingerprint.
     EXPECT_EQ(engineFingerprintSalt("clip", 4), 0x80cb206bc97650b2ull);
     EXPECT_EQ(engineFingerprintSalt("fm", 4), 0xbfbbbaf8996f3f7dull);
     EXPECT_NE(engineFingerprintSalt("clip", 2), engineFingerprintSalt("fm", 2));

@@ -209,6 +209,7 @@ TEST(Multilevel, PaperStoppingRuleReproducesPinnedResults) {
     paper.maxPasses = kPaperMaxPasses;
     MLConfig cfg;
     cfg.matchingRatio = 0.5;
+    cfg.prePassMinModules = 0;
     auto crcOf = [](const Partition& p) {
         const std::vector<std::uint8_t> blob = encodePartitionBinary(p);
         return robust::crc32(blob.data(), blob.size());
@@ -229,6 +230,45 @@ TEST(Multilevel, PaperStoppingRuleReproducesPinnedResults) {
     EXPECT_GT(budgetDiffers, 0);
 }
 
+/// Fixed-seed results of the default serial V-cycle at k = 2: ML CLIP
+/// with the pass budget, R = 0.5, and the LP pre-pass on every level of
+/// >= 4,096 modules (both circuits have such levels), on the rng stream
+/// of the paper pins above. At least one result must differ from its
+/// paper pin, so the pins would catch a serial V-cycle that silently
+/// skipped the pre-pass.
+TEST(Multilevel, SerialPrePassReproducesPinnedResults) {
+    struct Pin {
+        const char* circuit;
+        Weight cut[2];
+        std::uint32_t crc[2];
+        std::uint32_t paperCrc[2];
+    };
+    const Pin pins[] = {{"biomed", {55, 56}, {0x8124fb41u, 0x877a5421u}, {0x8124fb41u, 0x21c0cf70u}},
+                        {"s13207", {63, 62}, {0xecae543au, 0xc9018b34u}, {0xb598f0fcu, 0x31eddfbdu}}};
+    FMConfig clip;
+    clip.variant = EngineVariant::kCLIP;
+    MLConfig cfg;
+    cfg.matchingRatio = 0.5;
+    auto crcOf = [](const Partition& p) {
+        const std::vector<std::uint8_t> blob = encodePartitionBinary(p);
+        return robust::crc32(blob.data(), blob.size());
+    };
+    int paperDiffers = 0;
+    for (const Pin& pin : pins) {
+        const Hypergraph h = benchmarkInstance(pin.circuit);
+        ASSERT_GE(h.numModules(), cfg.prePassMinModules) << pin.circuit;
+        MultilevelPartitioner ml(cfg, makeFMFactory(clip));
+        std::mt19937_64 rng(1);
+        for (int run = 0; run < 2; ++run) {
+            const MLResult r = ml.run(h, rng);
+            EXPECT_EQ(r.cut, pin.cut[run]) << pin.circuit << " run " << run;
+            EXPECT_EQ(crcOf(r.partition), pin.crc[run]) << pin.circuit << " run " << run;
+            if (crcOf(r.partition) != pin.paperCrc[run]) ++paperDiffers;
+        }
+    }
+    EXPECT_GT(paperDiffers, 0);
+}
+
 TEST(Multilevel, RejectsBadConfig) {
     MLConfig cfg = baseConfig();
     cfg.coarseningThreshold = 1;
@@ -244,6 +284,15 @@ TEST(Multilevel, RejectsBadConfig) {
     cfg = baseConfig();
     cfg.coarsestStarts = 0;
     EXPECT_THROW(MultilevelPartitioner(cfg, makeFMFactory({})), std::invalid_argument);
+    // The pre-pass threshold is 0 (off) or a level size of at least 2.
+    for (const ModuleId bad : {1, -1}) {
+        cfg = baseConfig();
+        cfg.prePassMinModules = bad;
+        EXPECT_THROW(MultilevelPartitioner(cfg, makeFMFactory({})), std::invalid_argument) << bad;
+    }
+    cfg = baseConfig();
+    cfg.prePassMinModules = 0;
+    EXPECT_NO_THROW(MultilevelPartitioner(cfg, makeFMFactory({})));
     // Preassignment size mismatch surfaces at run().
     cfg = baseConfig();
     cfg.preassignment.assign(3, kInvalidPart);

@@ -905,12 +905,14 @@ TEST(ServeCache, LruEvictsAndCountsExactly) {
 /// Literals written before the bisection engine's pass budget: serial and
 /// parallel k = 2 keys under the paper's stopping rule, and a parallel key
 /// of revision 1 of the parallel V-cycle. The budget changes default k = 2
-/// results in both modes, so every one of them must now miss.
+/// results in both modes, so every one of them must now miss, and so must
+/// the serial key of bisection revision 2 (before the serial pre-pass).
 TEST(ServeCache, FingerprintRetiresOnlyOlderParallelRevisions) {
     JobRequest a = tinyRequest("a");
     a.seed = 42;
     EXPECT_NE(requestFingerprint(a), 0x53abe977eb94f5d7ull);
-    EXPECT_EQ(requestFingerprint(a), 0x44839b38db55f42bull);
+    EXPECT_NE(requestFingerprint(a), 0x44839b38db55f42bull);
+    EXPECT_EQ(requestFingerprint(a), 0x49b33fcfa08a5a78ull);
     a.vcycleThreads = 2;
     EXPECT_NE(requestFingerprint(a), 0x3214c42aadab9f38ull);
     EXPECT_NE(requestFingerprint(a), 0x31918c5efb5ed901ull);
@@ -919,14 +921,17 @@ TEST(ServeCache, FingerprintRetiresOnlyOlderParallelRevisions) {
 /// k = 4 keys written before the k-way engine had a revision: the move
 /// window changes default k-way results, so they must miss in both modes.
 /// The k-way revision leaves bisection keys alone: the k = 2 keys of the
-/// current bisection revision stay pinned.
+/// current bisection revision stay pinned. Bisection revision 3 retires
+/// revision 2's k = 2 keys and leaves the k = 4 keys alone.
 TEST(ServeCache, FingerprintKeepsKWayKeysAcrossBisectionRevisions) {
     JobRequest a = tinyRequest("a");
     a.seed = 42;
-    EXPECT_EQ(requestFingerprint(a), 0x44839b38db55f42bull);
+    EXPECT_NE(requestFingerprint(a), 0x44839b38db55f42bull);
+    EXPECT_EQ(requestFingerprint(a), 0x49b33fcfa08a5a78ull);
     JobRequest parallel = a;
     parallel.vcycleThreads = 2;
-    EXPECT_EQ(requestFingerprint(parallel), 0x488efe063d869fe0ull);
+    EXPECT_NE(requestFingerprint(parallel), 0x488efe063d869fe0ull);
+    EXPECT_EQ(requestFingerprint(parallel), 0xc8682096997ca620ull);
     a.engine = "clip"; // an unset engine runs k-way FM at k = 4
     a.k = 4;
     EXPECT_NE(requestFingerprint(a), 0x94fd73069bbad5ceull);
@@ -944,7 +949,8 @@ TEST(ServeCache, OmittedEngineResolvesByK) {
     MLPART_SKIP_NEEDS_LIVE_WORKER();
     const JobRequest k2 = parseJobRequest(tinyJob("k2", "\"seed\":42"));
     EXPECT_EQ(k2.engine, "clip");
-    EXPECT_EQ(requestFingerprint(k2), 0x44839b38db55f42bull);
+    EXPECT_NE(requestFingerprint(k2), 0x44839b38db55f42bull);
+    EXPECT_EQ(requestFingerprint(k2), 0x49b33fcfa08a5a78ull);
     const std::string k4Fields = "\"k\":4,\"seed\":42";
     const JobRequest omitted = parseJobRequest(tinyJob("omitted", k4Fields));
     const JobRequest fm = parseJobRequest(tinyJob("fm", k4Fields + ",\"engine\":\"fm\""));
@@ -979,9 +985,11 @@ TEST(ServeCache, UnsetEngineInCodeResolvesByK) {
     k2.seed = 42;
     ASSERT_TRUE(k2.engine.empty());
     EXPECT_EQ(resolvedEngine(k2), "clip");
-    EXPECT_EQ(requestFingerprint(k2), 0x44839b38db55f42bull);
+    EXPECT_NE(requestFingerprint(k2), 0x44839b38db55f42bull);
+    EXPECT_EQ(requestFingerprint(k2), 0x49b33fcfa08a5a78ull);
     k2.vcycleThreads = 2;
-    EXPECT_EQ(requestFingerprint(k2), 0x488efe063d869fe0ull);
+    EXPECT_NE(requestFingerprint(k2), 0x488efe063d869fe0ull);
+    EXPECT_EQ(requestFingerprint(k2), 0xc8682096997ca620ull);
 
     JobRequest code = tinyRequest("code");
     code.k = 4;

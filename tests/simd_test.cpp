@@ -236,13 +236,14 @@ TEST(KernelPinnedResults, ParallelModeS15850) {
 TEST(KernelPinnedResults, PrePassOnRandomBisections) {
     // The pre-pass's scores come from classifyNetsHot planes over its
     // NetHot pin counts; from a random bisection of s15850 it applies
-    // thousands of moves. Its total gain, the cut and the partition must
-    // not depend on the pool's thread count.
+    // thousands of moves. Its total gain, its move count, the cut and the
+    // partition must not depend on the pool's thread count.
     struct PrePassPin {
         Weight cutBefore, gain;
         std::uint32_t crc;
+        std::int64_t moves;
     };
-    const PrePassPin pins[2] = {{6331, 4444, 0x741dbde9u}, {6420, 4532, 0x23775fe7u}};
+    const PrePassPin pins[2] = {{6331, 4444, 0x741dbde9u, 2753}, {6420, 4532, 0x23775fe7u, 2785}};
     const Hypergraph h = benchmarkInstance("s15850");
     const auto bc = BalanceConstraint::forRefinement(h, 2, 0.1);
     for (const int threads : {1, 3}) {
@@ -253,8 +254,9 @@ TEST(KernelPinnedResults, PrePassOnRandomBisections) {
             std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
             Partition p = randomPartition(h, 2, bc, rng);
             ASSERT_EQ(cutWeight(h, p), pin.cutBefore) << "seed " << seed;
-            EXPECT_EQ(parallelPrePass(h, p, bc, {}, pool, ws), pin.gain)
-                << "seed " << seed << " threads " << threads;
+            const PrePassResult got = parallelPrePass(h, p, bc, {}, pool, ws);
+            EXPECT_EQ(got.gain, pin.gain) << "seed " << seed << " threads " << threads;
+            EXPECT_EQ(got.moves, pin.moves) << "seed " << seed << " threads " << threads;
             EXPECT_EQ(cutWeight(h, p), pin.cutBefore - pin.gain)
                 << "seed " << seed << " threads " << threads;
             EXPECT_EQ(crcOf(p), pin.crc) << "seed " << seed << " threads " << threads;

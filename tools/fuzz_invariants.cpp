@@ -225,6 +225,9 @@ void fuzzMultilevel(const Hypergraph& h, std::mt19937_64& rng) {
                                    CoarsenerKind::kRandomMatch,
                                    CoarsenerKind::kHeavyEdgeMatch};
     cfg.coarsener = kinds[rng() % 3];
+    // Serial mode with the pre-pass off or on fuzz-sized levels, so the
+    // checked build audits the partition the serial pre-pass hands to FM.
+    cfg.prePassMinModules = rng() % 2 == 0 ? 0 : 64;
     RefinerFactory factory = cfg.k == 2 ? makeFMFactory(randomFMConfig(rng))
                                         : makeKWayFactory(randomKWayConfig(rng));
     MultilevelPartitioner ml(cfg, std::move(factory));

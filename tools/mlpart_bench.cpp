@@ -22,8 +22,10 @@
 //                     round-robin, per-run seeds — and thus cuts — do not
 //                     depend on T)
 //     --vcycle-threads T  deterministic intra-V-cycle parallelism (default
-//                     0 = legacy serial algorithms; cuts are identical for
-//                     every T >= 1)
+//                     0 = serial mode: the paper's Match on the calling
+//                     thread; T >= 1 = proposal matching on T threads,
+//                     cuts identical for every T >= 1). Both modes run the
+//                     LP pre-pass on k = 2 levels of >= 4,096 modules
 //     --vcycle-sweep "1,2,4"  additionally re-run every instance with each
 //                     listed --vcycle-threads value, emitting extra rows
 //                     named <instance>@vtT. Sweep rows never exist in the
@@ -46,9 +48,10 @@
 //     --scale X       synthetic-instance scale in (0,1] (default 1)
 //     --profile       per-level refinement profile (pass/move/rollback
 //                     counts, rolled-back moves per pass, bucket-build vs
-//                     select vs apply vs rollback wall time) per instance;
-//                     also emitted into the JSON. Observation only — cuts
-//                     are unchanged.
+//                     select vs apply vs rollback wall time, and the moves
+//                     and gain of the LP pre-pass) per instance; the FM
+//                     totals are also emitted into the JSON. Observation
+//                     only — cuts are unchanged.
 //     -o FILE         output JSON (default BENCH_ML.json)
 //     --compare FILE  baseline JSON: exit 1 if any shared instance's
 //                     wall_sec regressed more than --max-regression, or
@@ -279,6 +282,8 @@ InstanceResult benchInstance(const std::string& name, const Hypergraph& h, const
             slot.level = lp.level;
             slot.modules = lp.modules;
             slot.refine.add(lp.refine);
+            slot.prePassMoves += lp.prePassMoves;
+            slot.prePassGain += lp.prePassGain;
         }
     }
     r.avgCut = sum / static_cast<double>(o.runs);
@@ -390,23 +395,30 @@ double rollbacksPerPass(const refine::RefineProfile& p) {
 }
 
 void printProfile(const InstanceResult& r) {
-    std::printf("  %-7s %9s %7s %9s %10s %9s %9s %9s %9s %9s\n", "level", "modules", "passes",
-                "moves", "rollbacks", "undo/pass", "build_s", "select_s", "apply_s", "undo_s");
+    std::printf("  %-7s %9s %7s %9s %10s %9s %9s %9s %9s %9s %9s %8s\n", "level", "modules",
+                "passes", "moves", "rollbacks", "undo/pass", "build_s", "select_s", "apply_s",
+                "undo_s", "lp_moves", "lp_gain");
     // Coarsest level first — the order refinement actually runs in.
+    std::int64_t lpMoves = 0;
+    Weight lpGain = 0;
     for (auto it = r.profByLevel.rbegin(); it != r.profByLevel.rend(); ++it) {
         const MLLevelProfile& lp = it->second;
-        std::printf("  %-7d %9d %7lld %9lld %10lld %9.1f %9.3f %9.3f %9.3f %9.3f\n", lp.level,
-                    lp.modules, static_cast<long long>(lp.refine.passes),
+        std::printf("  %-7d %9d %7lld %9lld %10lld %9.1f %9.3f %9.3f %9.3f %9.3f %9lld %8lld\n",
+                    lp.level, lp.modules, static_cast<long long>(lp.refine.passes),
                     static_cast<long long>(lp.refine.moves),
                     static_cast<long long>(lp.refine.rollbacks), rollbacksPerPass(lp.refine),
                     lp.refine.bucketBuildSec, lp.refine.selectSec, lp.refine.applySec,
-                    lp.refine.rollbackSec);
+                    lp.refine.rollbackSec, static_cast<long long>(lp.prePassMoves),
+                    static_cast<long long>(lp.prePassGain));
+        lpMoves += lp.prePassMoves;
+        lpGain += lp.prePassGain;
     }
     const refine::RefineProfile t = profileTotal(r);
-    std::printf("  %-7s %9s %7lld %9lld %10lld %9.1f %9.3f %9.3f %9.3f %9.3f\n", "total", "",
-                static_cast<long long>(t.passes), static_cast<long long>(t.moves),
+    std::printf("  %-7s %9s %7lld %9lld %10lld %9.1f %9.3f %9.3f %9.3f %9.3f %9lld %8lld\n",
+                "total", "", static_cast<long long>(t.passes), static_cast<long long>(t.moves),
                 static_cast<long long>(t.rollbacks), rollbacksPerPass(t), t.bucketBuildSec,
-                t.selectSec, t.applySec, t.rollbackSec);
+                t.selectSec, t.applySec, t.rollbackSec, static_cast<long long>(lpMoves),
+                static_cast<long long>(lpGain));
 }
 
 void writeJson(const std::string& path, const Options& o, const std::vector<InstanceResult>& rs) {

@@ -330,7 +330,8 @@ int cmdPartition(const Args& a) {
     cfg.matchingRatio = a.getD("-R", 0.5);
     if (k > 2) cfg.coarseningThreshold = 100;
     // Deterministic intra-V-cycle parallelism: results are bit-identical
-    // for every count >= 1 (0 = the legacy serial algorithms).
+    // for every count >= 1 (0 = serial mode: the paper's Match on this
+    // thread; both modes run the LP pre-pass on large k = 2 levels).
     cfg.vcycleThreads = static_cast<int>(a.getI("--vcycle-threads", 0));
     if (cfg.vcycleThreads < 0) usage("partition: --vcycle-threads must be >= 0");
     cfg.vCycles = static_cast<int>(a.getI("--cycles", 1));

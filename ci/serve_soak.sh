@@ -18,10 +18,11 @@
 #      first process already answered may only reappear as a journal
 #      re-emission carrying "replayed":true, never as a re-execution.
 #
-# Both phases also mix in "engine":"auto" portfolio jobs (DESIGN.md §15)
-# with per-lane faults — a rotating single-lane crash, a hang that must
-# wind down on its deadline slice, and an all-lanes-dead job that must
-# degrade to the greedy fallback — all of which still answer "OK".
+# Phases 1 and 2 also mix in comparator jobs (DESIGN.md §15) with a fault
+# inside the engine's loop: "engine":"lsmc" faulted on its first attempt
+# only, which the retry-once policy must turn into "OK" with
+# "retried":true, and "engine":"genetic" faulted on every attempt, which
+# must come back classified as INJECTED_FAULT.
 #
 # Run it against a sanitizer build directory to catch lifetime bugs on
 # the containment paths.
@@ -53,26 +54,22 @@ mkfifo "$work/in"
 pid=$!
 exec 3>"$work/in"
 
-lanes=(ml two_phase lsmc spectral genetic)
 sent=0
 start=$SECONDS
 while [ $((SECONDS - start)) -lt "$phase" ]; do
     sent=$((sent + 1))
     prio=$((sent % 4))
     if [ $((sent % 3)) -eq 0 ]; then
-        # Portfolio lane-containment mix: the job itself must stay "OK"
-        # whatever happens inside its lanes.
-        pick=$((sent % 9))
-        if [ "$pick" -eq 0 ]; then
-            extra=',"engine":"auto","fault":"site=portfolio.lane.*,p=1.0"'
-        elif [ "$pick" -eq 3 ]; then
-            extra=',"engine":"auto","fault":"site=portfolio.lane.hang,at=1","deadline":0.5'
+        # Comparator mix: a fault inside the engine's loop, retried once.
+        if [ $((sent % 2)) -eq 0 ]; then
+            id="soak-lsmc-$sent"
+            extra=',"engine":"lsmc","fault":"site=lsmc.descent,p=1.0","fault_attempts":1'
         else
-            lane=${lanes[$((sent / 3 % 5))]}
-            extra=',"engine":"auto","fault":"site=portfolio.lane.'$lane',p=1.0"'
+            id="soak-ga-$sent"
+            extra=',"engine":"genetic","fault":"site=genetic.generation,p=1.0"'
         fi
-        printf '{"op":"partition","id":"soak-%d","hgr":"%s","runs":2,"priority":%d%s}\n' \
-            "$sent" "$hgr" "$prio" "$extra" >&3
+        printf '{"op":"partition","id":"%s","hgr":"%s","priority":%d%s}\n' \
+            "$id" "$hgr" "$prio" "$extra" >&3
         sleep 0.1
         continue
     fi
@@ -124,14 +121,12 @@ grep -q '"status":"WORKER_CRASHED"' "$work/out.ndjson" ||
 grep -q '"watchdog_killed":true' "$work/out.ndjson" ||
     { echo "serve_soak.sh: no hung worker was watchdog-killed" >&2; exit 1; }
 
-# ... and the portfolio lane containment (DESIGN.md §15): lane crashes and
-# hangs stay inside their lane, all-lanes-dead degrades to the fallback.
-grep -q '"engine":"ml","outcome":"crashed"' "$work/out.ndjson" ||
-    { echo "serve_soak.sh: no portfolio lane crash was contained" >&2; exit 1; }
-grep -q '"outcome":"timed_out"' "$work/out.ndjson" ||
-    { echo "serve_soak.sh: no hung portfolio lane wound down on its slice" >&2; exit 1; }
-grep -q '"winner":"fallback"' "$work/out.ndjson" ||
-    { echo "serve_soak.sh: no all-lanes-dead job reached the greedy fallback" >&2; exit 1; }
+# ... and the comparator jobs (DESIGN.md §15): a fault on the first attempt
+# is retried into "OK", one on every attempt is classified.
+grep -q '"id":"soak-lsmc-[0-9]*","status":"OK".*"retried":true' "$work/out.ndjson" ||
+    { echo "serve_soak.sh: no faulted lsmc job was retried into OK" >&2; exit 1; }
+grep -q '"id":"soak-ga-[0-9]*","status":"INJECTED_FAULT"' "$work/out.ndjson" ||
+    { echo "serve_soak.sh: no always-faulted genetic job was classified" >&2; exit 1; }
 
 if grep -q "ERROR: .*Sanitizer" "$work/err.log"; then
     echo "serve_soak.sh: sanitizer report in the supervisor" >&2
@@ -163,12 +158,11 @@ import time
 
 SOCK, DURATION = sys.argv[1], float(sys.argv[2])
 HGR = "6 8\n1 2\n3 4\n5 6\n7 8\n2 3\n6 7\n"
-LANES = ["ml", "two_phase", "lsmc", "spectral", "genetic"]
 
 failures = []
 flock = threading.Lock()
 tally = {"ok": 0, "cancelled": 0, "crashed": 0, "cached": 0, "rejected": 0,
-         "fallback": 0, "lane_faulted": 0}
+         "comparator_retried": 0, "comparator_failed": 0}
 
 
 def fail(msg):
@@ -219,14 +213,10 @@ def stream_client(n):
             elif m == 3:
                 extra.update(fault="site=serve.pipe,at=1", fault_attempts=1)
             elif m == 5:
-                extra.update(engine="auto", runs=2,
-                             fault="site=portfolio.lane.%s,p=1.0" % LANES[seq % 5])
+                extra.update(engine="lsmc", fault="site=lsmc.descent,p=1.0",
+                             fault_attempts=1)
             elif m == 6:
-                extra.update(engine="auto", runs=2,
-                             fault="site=portfolio.lane.*,p=1.0")
-            elif m == 7:
-                extra.update(engine="auto", runs=2, deadline=0.5,
-                             fault="site=portfolio.lane.hang,at=1")
+                extra.update(engine="genetic", fault="site=genetic.generation,p=1.0")
             s.sendall(job(jid, seed=1000 * n + seq, **extra))
             sent[jid] = 0
             if m == 4:
@@ -243,15 +233,15 @@ def stream_client(n):
                 continue
             sent[jid] += 1
             st = obj.get("status")
-            if obj.get("fallback"):
-                note("fallback")
-            report = obj.get("engine_report") or {}
-            outcomes = {lane.get("outcome") for lane in report.get("lanes", [])}
-            if outcomes & {"crashed", "timed_out", "refused"}:
-                note("lane_faulted")
-                if st != "OK":
-                    fail("client %d: id %s lane fault escaped containment (%s)"
-                         % (n, jid, st))
+            m = int(jid.split("-")[1]) % 10
+            if m == 5 and st == "OK" and obj.get("retried"):
+                note("comparator_retried")
+            elif m == 5 and st == "INJECTED_FAULT":
+                fail("client %d: id %s: the retry did not recover" % (n, jid))
+            if m == 6 and st == "INJECTED_FAULT":
+                note("comparator_failed")
+            elif m == 6 and st == "OK":
+                fail("client %d: id %s: an always-armed fault did not fail" % (n, jid))
             if st == "OK":
                 note("ok")
             elif st == "CANCELLED":
@@ -340,10 +330,10 @@ if tally["crashed"] == 0:
     failures.append("no persistent crash was classified")
 if tally["cached"] < 5:
     failures.append("cache hits %d < 5" % tally["cached"])
-if tally["lane_faulted"] == 0:
-    failures.append("no portfolio lane fault was exercised")
-if tally["fallback"] == 0:
-    failures.append("no all-lanes-dead auto job reached the greedy fallback")
+if tally["comparator_retried"] == 0:
+    failures.append("no faulted lsmc job was retried into OK")
+if tally["comparator_failed"] == 0:
+    failures.append("no always-faulted genetic job was classified")
 for msg in failures:
     print("serve_soak FAIL:", msg, file=sys.stderr)
 sys.exit(1 if failures else 0)

@@ -13,8 +13,8 @@
 #include "core/workspace_pool.h"
 #include "hypergraph/io.h"
 #include "hypergraph/stats.h"
-#include "kway/kway_config.h" // kKWayEngineRevision
-#include "refine/fm_config.h" // kBisectionEngineRevision
+#include "kway/kway_refiner.h" // makeKWayFactory, kKWayEngineRevision
+#include "refine/multistart.h"  // makeFMFactory, kBisectionEngineRevision
 #include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
 #include "robust/memory_governor.h"
@@ -67,6 +67,30 @@ struct RestoredPartial {
 };
 
 } // namespace
+
+MLEngine makeMLEngine(const std::string& engine, PartId k, double tolerance,
+                      double matchingRatio, int vcycleThreads) {
+    if (engine != "fm" && engine != "clip")
+        throw robust::Error(robust::StatusCode::kUsage, "unknown engine '" + engine + "'");
+    MLEngine out;
+    out.config.k = k;
+    out.config.tolerance = tolerance;
+    out.config.matchingRatio = matchingRatio;
+    if (k > 2) out.config.coarseningThreshold = 100;
+    out.config.vcycleThreads = vcycleThreads;
+    if (k == 2) {
+        FMConfig fm;
+        fm.tolerance = tolerance;
+        if (engine == "clip") fm.variant = EngineVariant::kCLIP;
+        out.factory = makeFMFactory(fm);
+    } else {
+        KWayConfig kw;
+        kw.tolerance = tolerance;
+        kw.clip = engine == "clip";
+        out.factory = makeKWayFactory(kw);
+    }
+    return out;
+}
 
 std::uint64_t engineFingerprintSalt(const std::string& engine, PartId k) {
     std::uint64_t salt = 0x454e47u; // "ENG"

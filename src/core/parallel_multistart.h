@@ -92,8 +92,22 @@ struct MultiStartOutcome {
 /// and a serve request's "engine" both default through it.
 [[nodiscard]] inline const char* defaultEngine(PartId k) { return k == 2 ? "clip" : "fm"; }
 
-/// Salt for a job that partitions k ways with the named engine (`fm`,
-/// `clip`, or a portfolio engine): the engine name and the revision of the
+/// An ML job's V-cycle settings and refinement engine.
+struct MLEngine {
+    MLConfig config;
+    RefinerFactory factory;
+};
+
+/// Builds the ML run for `engine` ("fm" or "clip"; throws
+/// robust::Error(kUsage) on any other name): coarsening stops at T = 100
+/// modules when k > 2; refinement is bisection FM or CLIP at k = 2 and
+/// k-way FM or k-way CLIP above. The mlpart CLI, serve workers and
+/// mlpart_bench all build their partitioner through it.
+[[nodiscard]] MLEngine makeMLEngine(const std::string& engine, PartId k, double tolerance,
+                                    double matchingRatio, int vcycleThreads);
+
+/// Salt for a job that partitions k ways with the named engine (`fm` or
+/// `clip`): the engine name and the revision of the
 /// engine that refines it — kBisectionEngineRevision for k = 2,
 /// kKWayEngineRevision for k > 2. The mlpart CLI and serve workers use it
 /// as MultiStartConfig::fingerprintSalt, and serve::requestFingerprint

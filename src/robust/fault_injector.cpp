@@ -71,15 +71,6 @@ const std::vector<std::string>& FaultInjector::knownSites() {
         "lsmc.descent",      // LSMC descent loop, before a kick+refine
         "spectral.iterate",  // spectral power iteration, each step
         "genetic.generation",// hybrid GA, before a generation
-        // Portfolio lane containment sites (portfolio_test drives these:
-        // the lane-named ones sit at each lane's entry, .hang stalls a
-        // lane until its deadline slice expires).
-        "portfolio.lane.ml",
-        "portfolio.lane.two_phase",
-        "portfolio.lane.lsmc",
-        "portfolio.lane.spectral",
-        "portfolio.lane.genetic",
-        "portfolio.lane.hang",
     };
     return sites;
 }

@@ -41,7 +41,7 @@ struct FaultPlan {
     double probability = 0.0;
     FaultKind kind = FaultKind::kThrow;
     /// Empty = every known site matches; a trailing '*' matches by prefix
-    /// ("portfolio.lane.*" hits every lane entry gate but no serve.* site).
+    /// ("fs.*" hits every filesystem site but no serve.* site).
     std::string site;
     std::int64_t fireAtHit = -1;
     std::int64_t maxFires = -1; ///< -1 = unlimited

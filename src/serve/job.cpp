@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <set>
 
+#include "comparators/comparators.h"
 #include "core/multilevel.h" // kParallelVCycleRevision
 #include "core/parallel_multistart.h" // defaultEngine, engineFingerprintSalt
 #include "robust/checkpoint.h" // crc32, hashCombine
@@ -16,9 +17,10 @@ namespace {
 using robust::Error;
 using robust::StatusCode;
 
-// v2 appended the portfolio evaluation report. The codec only ever talks
-// to a same-binary fork over a pipe, so no skew tolerance is needed —
-// any other version is a parse error.
+// v2 appended a flag byte for the retired portfolio evaluation report.
+// Journal Done records and cache.bin entries embed the outcome, so those
+// written by older binaries must still load: the version stays 2 and the
+// flag stays, always 0. Any other version, or a set flag, is a parse error.
 constexpr std::uint32_t kOutcomeVersion = 2;
 constexpr std::uint32_t kRequestVersion = 1;
 
@@ -88,25 +90,18 @@ JobRequest parseJobRequest(const std::string& line) {
     if (r.tolerance < 0 || r.tolerance >= 1) badRequest("tolerance must be in [0, 1)");
     if (r.matchingRatio <= 0 || r.matchingRatio > 1) badRequest("ratio must be in (0, 1]");
     if (r.deadlineSeconds < 0) badRequest("deadline must be >= 0");
-    if (r.engine != "fm" && r.engine != "clip" && !portfolioEngine(r.engine))
-        badRequest("engine must be fm, clip, auto, or one of ml/two_phase/lsmc/spectral/genetic");
+    if (r.engine != "fm" && r.engine != "clip" && r.engine != "auto" && !isComparator(r.engine))
+        badRequest("engine must be fm, clip, auto, two_phase, lsmc, spectral or genetic");
     if (r.resume && r.checkpointPath.empty()) badRequest("resume requires checkpoint");
-    // Checkpoints snapshot multi-start progress; the portfolio lanes have
-    // no cross-engine resume semantics, so reject instead of silently
-    // checkpointing one lane.
-    if (portfolioEngine(r.engine) && !r.checkpointPath.empty())
-        badRequest("checkpoint requires engine fm or clip");
+    // Checkpoints snapshot multi-start progress; a comparator runs once
+    // and has nothing to resume.
+    if (isComparator(r.engine) && !r.checkpointPath.empty())
+        badRequest("checkpoint requires engine fm, clip or auto");
     return r;
 }
 
 std::string resolvedEngine(const JobRequest& r) {
-    return r.engine.empty() ? defaultEngine(r.k) : r.engine;
-}
-
-bool portfolioEngine(const std::string& engine) {
-    if (engine == "auto") return true;
-    portfolio::EngineKind kind;
-    return portfolio::parseEngineName(engine, kind);
+    return r.engine.empty() || r.engine == "auto" ? defaultEngine(r.k) : r.engine;
 }
 
 std::vector<std::uint8_t> encodeJobOutcome(const JobOutcome& o) {
@@ -123,8 +118,7 @@ std::vector<std::uint8_t> encodeJobOutcome(const JobOutcome& o) {
     w.u32(o.partitionCrc);
     w.u8(o.deadlineHit ? 1 : 0);
     w.u8(o.checkpointSaved ? 1 : 0);
-    w.u8(o.hasReport ? 1 : 0);
-    if (o.hasReport) portfolio::encodeEvaluationReport(w, o.report);
+    w.u8(0); // no evaluation report
     return std::move(w.bytes);
 }
 
@@ -146,8 +140,8 @@ JobOutcome decodeJobOutcome(const std::uint8_t* data, std::size_t size) {
     o.partitionCrc = in.u32();
     o.deadlineHit = in.u8() != 0;
     o.checkpointSaved = in.u8() != 0;
-    o.hasReport = in.u8() != 0;
-    if (o.hasReport) o.report = portfolio::decodeEvaluationReport(in);
+    if (in.u8() != 0)
+        throw Error(StatusCode::kParseError, "job outcome: portfolio evaluation report");
     if (in.remaining() != 0)
         throw Error(StatusCode::kParseError, "job outcome: trailing bytes");
     return o;
@@ -279,11 +273,6 @@ std::string jobResultJson(const JobResult& r) {
         .field("part_crc", static_cast<std::int64_t>(r.outcome.partitionCrc))
         .field("seconds", r.outcome.seconds)
         .field("queue_seconds", r.queueSeconds);
-    if (r.outcome.hasReport) {
-        w.field("winner", r.outcome.report.winnerName())
-            .field("fallback", r.outcome.report.fallbackUsed)
-            .raw("engine_report", portfolio::evaluationReportJson(r.outcome.report));
-    }
     if (!r.outcome.status.message.empty()) w.field("message", r.outcome.status.message);
     return w.str();
 }

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "portfolio/portfolio.h"
 #include "robust/status.h"
 #include "serve/json.h"
 
@@ -36,13 +35,13 @@ struct JobRequest {
     std::int32_t k = 2;
     double tolerance = 0.1;
     double matchingRatio = 0.5;
-    /// "fm" | "clip" run the classic multi-start; "auto" races the whole
-    /// engine portfolio (DESIGN.md §15); a single portfolio engine name
-    /// ("ml", "two_phase", "lsmc", "spectral", "genetic") runs that one
-    /// lane under the same containment/report machinery. Empty = unset:
-    /// the fingerprint and the worker read resolvedEngine(), which picks
-    /// by k (defaultEngine: "clip" at k = 2, "fm" at k > 2), and
-    /// parseJobRequest stores that choice for an omitted "engine".
+    /// "fm" | "clip" run the ML multi-start; "auto" runs the default ML
+    /// engine for k; "two_phase", "lsmc", "spectral" (k = 2 only) and
+    /// "genetic" run one of the paper's comparators (DESIGN.md §15).
+    /// Empty = unset. The fingerprint and the worker read
+    /// resolvedEngine(), which maps unset and "auto" to defaultEngine(k)
+    /// ("clip" at k = 2, "fm" at k > 2); parseJobRequest stores that
+    /// choice for an omitted "engine".
     std::string engine;
     std::int32_t runs = 4;
     std::int32_t threads = 1;    ///< worker-internal multi-start threads
@@ -68,13 +67,9 @@ struct JobRequest {
 /// malformed JSON, unknown op, unknown keys, or out-of-range values.
 [[nodiscard]] JobRequest parseJobRequest(const std::string& line);
 
-/// The engine a request runs: `r.engine`, or defaultEngine(r.k) when unset.
+/// The engine a request runs: `r.engine`, or defaultEngine(r.k) when it
+/// is unset or "auto".
 [[nodiscard]] std::string resolvedEngine(const JobRequest& r);
-
-/// True when `engine` routes through the portfolio manager: "auto" or a
-/// single portfolio engine name. "fm"/"clip" (the legacy multi-start
-/// path) return false.
-[[nodiscard]] bool portfolioEngine(const std::string& engine);
 
 /// What the worker computes inside the fork — everything the parent
 /// cannot reconstruct from the exit status.
@@ -91,16 +86,14 @@ struct JobOutcome {
     std::uint32_t partitionCrc = 0;
     bool deadlineHit = false;
     bool checkpointSaved = false;
-    /// Portfolio jobs ("auto" / explicit engine names) carry the per-lane
-    /// evaluation report; legacy fm/clip jobs leave hasReport false.
-    bool hasReport = false;
-    portfolio::EvaluationReport report;
 };
 
-/// Pipe codec for JobOutcome (framed by robust/wire.h at the call site).
+/// Codec for JobOutcome: the worker pipe frames it (robust/wire.h), and
+/// journal Done records and persisted result-cache entries embed it.
 [[nodiscard]] std::vector<std::uint8_t> encodeJobOutcome(const JobOutcome& o);
 /// Throws robust::Error(kParseError) on damage the frame CRC cannot see
-/// (version-skewed or truncated payload).
+/// (version-skewed or truncated payload) and on an outcome that carries a
+/// portfolio evaluation report, which only older binaries wrote.
 [[nodiscard]] JobOutcome decodeJobOutcome(const std::uint8_t* data, std::size_t size);
 
 /// Pipe codec for dispatching a job (plus its attempt index, which drives

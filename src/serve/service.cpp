@@ -255,26 +255,6 @@ std::size_t Service::lowestPriorityIndex() const {
 }
 
 void Service::recordResult(JobResult r) {
-    if (r.outcome.hasReport) {
-        if (r.outcome.report.fallbackUsed) ++portfolioFallbacks_;
-        for (const auto& lane : r.outcome.report.lanes) {
-            const int e = static_cast<int>(lane.engine);
-            if (e < 0 || e >= portfolio::kEngineCount) continue;
-            EngineStats& s = engineStats_[e];
-            switch (lane.outcome) {
-                case portfolio::LaneOutcome::kWon: ++s.wins; break;
-                case portfolio::LaneOutcome::kSurvived: ++s.survived; break;
-                case portfolio::LaneOutcome::kCrashed: ++s.crashes; break;
-                case portfolio::LaneOutcome::kTimedOut: ++s.timeouts; break;
-                case portfolio::LaneOutcome::kRefused: ++s.refusals; break;
-                case portfolio::LaneOutcome::kSkipped: ++s.skipped; break;
-            }
-            if (lane.cut >= 0 && s.cutSamples.size() < kEngineSampleCap) {
-                s.cutSamples.push_back(lane.cut);
-                s.secondsSamples.push_back(lane.seconds);
-            }
-        }
-    }
     history_.push_back(std::move(r));
     while (history_.size() > static_cast<std::size_t>(cfg_.historyLimit))
         history_.pop_front();
@@ -605,38 +585,6 @@ std::string Service::statusJson() {
         jobs += jobSummaryJson(history_[i]);
     }
     jobs += ']';
-    std::string engines = "[";
-    for (int e = 0; e < portfolio::kEngineCount; ++e) {
-        if (e > 0) engines += ',';
-        const EngineStats& s = engineStats_[e];
-        // Medians over the bounded sample windows; -1 / 0 when no lane of
-        // this engine has produced a partition yet.
-        std::vector<std::int64_t> cuts = s.cutSamples;
-        std::vector<double> secs = s.secondsSamples;
-        std::int64_t medianCut = -1;
-        double medianSeconds = 0;
-        if (!cuts.empty()) {
-            const std::size_t mid = cuts.size() / 2;
-            std::nth_element(cuts.begin(), cuts.begin() + static_cast<std::ptrdiff_t>(mid),
-                             cuts.end());
-            std::nth_element(secs.begin(), secs.begin() + static_cast<std::ptrdiff_t>(mid),
-                             secs.end());
-            medianCut = cuts[mid];
-            medianSeconds = secs[mid];
-        }
-        JsonWriter ew;
-        ew.field("engine", portfolio::engineName(static_cast<portfolio::EngineKind>(e)))
-            .field("wins", s.wins)
-            .field("survived", s.survived)
-            .field("crashes", s.crashes)
-            .field("timeouts", s.timeouts)
-            .field("refusals", s.refusals)
-            .field("skipped", s.skipped)
-            .field("median_cut", medianCut)
-            .field("median_seconds", medianSeconds);
-        engines += ew.str();
-    }
-    engines += ']';
     JsonWriter w;
     w.field("event", "status")
         .field("queue_depth", static_cast<std::int64_t>(queue_.size()))
@@ -653,7 +601,6 @@ std::string Service::statusJson() {
         .field("respawn_total", respawnTotal)
         .field("mem_limit", static_cast<std::int64_t>(governor.limitBytes()))
         .field("mem_in_use", static_cast<std::int64_t>(governor.inUseBytes()))
-        .field("portfolio_fallbacks", portfolioFallbacks_)
         .field("durable", journal_ != nullptr)
         .field("journal_replayed", journalReplayed_)
         .field("replayed_results", replayedResults_)
@@ -665,7 +612,6 @@ std::string Service::statusJson() {
                    (journal_ && journal_->degraded()))
         .raw("pool_workers", poolWorkers)
         .raw("cache", cw.str())
-        .raw("engines", engines)
         .raw("jobs", jobs);
     return w.str();
 }

@@ -153,23 +153,6 @@ private:
         std::shared_ptr<std::atomic<bool>> cancel;
         std::uint64_t client = 0;
     };
-    /// Per-engine portfolio lane telemetry, aggregated from every
-    /// completed job's EvaluationReport so degradation (crashing or
-    /// timing-out lanes) is visible in {"op":"status"} instead of silent.
-    struct EngineStats {
-        std::int64_t wins = 0;
-        std::int64_t survived = 0;
-        std::int64_t crashes = 0;
-        std::int64_t timeouts = 0;
-        std::int64_t refusals = 0;
-        std::int64_t skipped = 0;
-        /// Bounded result samples (see kEngineSampleCap) for the status
-        /// medians over lanes that produced a partition.
-        std::vector<std::int64_t> cutSamples;
-        std::vector<double> secondsSamples;
-    };
-    static constexpr std::size_t kEngineSampleCap = 256;
-
     void dispatcherLoop(int slot);
     /// `forcedSeq` >= 0 re-admits a journal-recovered job under its
     /// original seq (so a crash during recovery cannot double-execute
@@ -188,7 +171,7 @@ private:
     void emitRejected(const JobRequest& req, std::uint64_t client, const std::string& why,
                       robust::StatusCode code = robust::StatusCode::kRejected);
     [[nodiscard]] std::size_t lowestPriorityIndex() const; ///< caller holds mu_
-    void recordResult(JobResult r); ///< caller holds mu_: history + counters
+    void recordResult(JobResult r); ///< caller holds mu_: appends to history_
     void decrementLoadLocked(std::uint64_t client); ///< caller holds mu_
 
     ServiceConfig cfg_;
@@ -202,8 +185,6 @@ private:
     std::unordered_map<std::string, InFlight> inflight_; ///< key: "<client>:<id>"
     std::unordered_map<std::uint64_t, int> clientLoad_;  ///< queued + active per client
     std::deque<JobResult> history_;
-    EngineStats engineStats_[portfolio::kEngineCount]; ///< guarded by mu_
-    std::int64_t portfolioFallbacks_ = 0;              ///< guarded by mu_
     std::vector<std::thread> dispatchers_;
     WorkerPool pool_; ///< slot i belongs to dispatcher i
     std::unique_ptr<ResultCache> cache_;

@@ -7,15 +7,12 @@
 #include <sstream>
 #include <string>
 
+#include "comparators/comparators.h"
 #include "core/multilevel.h"
 #include "core/parallel_multistart.h"
 #include "hypergraph/bench_format.h"
 #include "hypergraph/io.h"
 #include "hypergraph/netd_format.h"
-#include "kway/kway_refiner.h"
-#include "portfolio/portfolio.h"
-#include "refine/fm_refiner.h"
-#include "refine/multistart.h"
 #include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
 #include "robust/status.h"
@@ -58,63 +55,6 @@ Hypergraph loadInstance(const JobRequest& req) {
 
 } // namespace
 
-namespace {
-
-/// The portfolio job body: every engine lane under the request's deadline
-/// budget, fault-contained per lane, report embedded in the outcome.
-void executePortfolioJob(const JobRequest& req, const Hypergraph& h,
-                         const std::atomic<bool>* cancel, JobOutcome& out) {
-    portfolio::PortfolioConfig pc;
-    pc.k = static_cast<PartId>(req.k);
-    pc.tolerance = req.tolerance;
-    pc.matchingRatio = req.matchingRatio;
-    pc.runs = req.runs;
-    pc.threads = req.threads;
-    pc.vcycleThreads = req.vcycleThreads;
-    pc.seed = req.seed;
-    pc.budgetSeconds = req.deadlineSeconds;
-    if (cancel != nullptr)
-        pc.deadline.bindCancelFlag(const_cast<std::atomic<bool>*>(cancel));
-    if (req.engine != "auto") {
-        portfolio::EngineKind kind;
-        if (!portfolio::parseEngineName(req.engine, kind))
-            throw Error(StatusCode::kUsage, "unknown portfolio engine " + req.engine);
-        pc.engines = {kind};
-    }
-
-    const portfolio::PortfolioResult r = portfolio::runPortfolio(h, pc);
-
-    out.cut = static_cast<std::int64_t>(r.bestCut);
-    out.hasReport = true;
-    out.report = r.report;
-    std::int32_t failed = 0, skipped = 0;
-    bool deadlineHit = false;
-    for (const portfolio::LaneRecord& lane : r.report.lanes) {
-        using portfolio::LaneOutcome;
-        if (lane.outcome == LaneOutcome::kCrashed || lane.outcome == LaneOutcome::kTimedOut ||
-            lane.outcome == LaneOutcome::kRefused)
-            ++failed;
-        if (lane.outcome == LaneOutcome::kSkipped) ++skipped;
-        deadlineHit = deadlineHit || lane.deadlineHit;
-    }
-    out.runsOk = r.report.survivors();
-    out.runsFailed = failed;
-    out.runsSkipped = skipped;
-    out.deadlineHit = deadlineHit;
-    const std::vector<std::uint8_t> blob = encodePartitionBinary(r.best);
-    out.partitionCrc = robust::crc32(blob.data(), blob.size());
-    if (!req.outPath.empty()) writePartitionFile(r.best, req.outPath);
-
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
-        out.status = {StatusCode::kInterrupted, "drained: best-so-far result emitted"};
-    else if (r.report.fallbackUsed)
-        out.status = {StatusCode::kOk, "portfolio: all lanes failed; greedy fallback"};
-    else
-        out.status = robust::Status::okStatus();
-}
-
-} // namespace
-
 JobOutcome executeJob(const JobRequest& req, const std::atomic<bool>* cancel) {
     JobOutcome out;
     const auto t0 = std::chrono::steady_clock::now();
@@ -127,61 +67,52 @@ JobOutcome executeJob(const JobRequest& req, const std::atomic<bool>* cancel) {
                             std::to_string(req.k) + " non-empty blocks");
 
         const std::string engine = resolvedEngine(req);
-        if (portfolioEngine(engine)) {
-            executePortfolioJob(req, h, cancel, out);
-            out.seconds =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-            return out;
-        }
-
-        MLConfig cfg;
-        cfg.k = k;
-        cfg.tolerance = req.tolerance;
-        cfg.matchingRatio = req.matchingRatio;
-        if (k > 2) cfg.coarseningThreshold = 100;
-        cfg.vcycleThreads = req.vcycleThreads;
-
-        RefinerFactory factory;
-        if (k == 2) {
-            FMConfig fm;
-            fm.tolerance = req.tolerance;
-            if (engine == "clip") fm.variant = EngineVariant::kCLIP;
-            factory = makeFMFactory(fm);
+        Partition best;
+        if (isComparator(engine)) {
+            robust::Deadline deadline = req.deadlineSeconds > 0
+                                            ? robust::Deadline::after(req.deadlineSeconds)
+                                            : robust::Deadline();
+            if (cancel != nullptr) deadline.bindCancelFlag(cancel);
+            ComparatorResult r = runComparator(h, engine, k, req.tolerance, req.matchingRatio,
+                                               req.vcycleThreads, req.seed, deadline);
+            out.cut = static_cast<std::int64_t>(r.cut);
+            out.runsOk = 1;
+            out.deadlineHit = r.deadlineHit;
+            best = std::move(r.partition);
         } else {
-            KWayConfig kw;
-            kw.tolerance = req.tolerance;
-            kw.clip = engine == "clip";
-            factory = makeKWayFactory(kw);
+            const MLEngine ml = makeMLEngine(engine, k, req.tolerance, req.matchingRatio,
+                                             req.vcycleThreads);
+            const MultilevelPartitioner partitioner(ml.config, ml.factory);
+
+            MultiStartConfig ms;
+            ms.runs = req.runs;
+            ms.threads = req.threads;
+            ms.seed = req.seed;
+            ms.timeoutSeconds = req.deadlineSeconds;
+            if (cancel != nullptr) ms.deadline.bindCancelFlag(cancel);
+            ms.checkpointPath = req.checkpointPath;
+            ms.resume = req.resume;
+            if (!ms.checkpointPath.empty())
+                ms.fingerprintSalt = engineFingerprintSalt(engine, k);
+
+            MultiStartOutcome r = parallelMultiStart(h, partitioner, ms);
+
+            out.cut = static_cast<std::int64_t>(r.bestCut);
+            out.runsOk = static_cast<std::int32_t>(r.report.succeeded());
+            out.runsRetried = static_cast<std::int32_t>(r.report.retried());
+            out.runsFailed = static_cast<std::int32_t>(r.report.failed());
+            out.runsSkipped = static_cast<std::int32_t>(r.report.skipped());
+            out.deadlineHit = r.report.deadlineHit;
+            out.checkpointSaved = !ms.checkpointPath.empty() && r.checkpointStatus.ok();
+            best = std::move(r.best);
         }
-        MultilevelPartitioner ml(cfg, factory);
-
-        MultiStartConfig ms;
-        ms.runs = req.runs;
-        ms.threads = req.threads;
-        ms.seed = req.seed;
-        ms.timeoutSeconds = req.deadlineSeconds;
-        if (cancel != nullptr)
-            ms.deadline.bindCancelFlag(const_cast<std::atomic<bool>*>(cancel));
-        ms.checkpointPath = req.checkpointPath;
-        ms.resume = req.resume;
-        if (!ms.checkpointPath.empty()) ms.fingerprintSalt = engineFingerprintSalt(engine, k);
-
-        const MultiStartOutcome r = parallelMultiStart(h, ml, ms);
-
-        out.cut = static_cast<std::int64_t>(r.bestCut);
-        out.runsOk = static_cast<std::int32_t>(r.report.succeeded());
-        out.runsRetried = static_cast<std::int32_t>(r.report.retried());
-        out.runsFailed = static_cast<std::int32_t>(r.report.failed());
-        out.runsSkipped = static_cast<std::int32_t>(r.report.skipped());
-        out.deadlineHit = r.report.deadlineHit;
-        out.checkpointSaved = !ms.checkpointPath.empty() && r.checkpointStatus.ok();
-        const std::vector<std::uint8_t> blob = encodePartitionBinary(r.best);
+        const std::vector<std::uint8_t> blob = encodePartitionBinary(best);
         out.partitionCrc = robust::crc32(blob.data(), blob.size());
-        if (!req.outPath.empty()) writePartitionFile(r.best, req.outPath);
+        if (!req.outPath.empty()) writePartitionFile(best, req.outPath);
 
         if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
             out.status = {StatusCode::kInterrupted, "drained: best-so-far result emitted"};
-        else if (r.report.deadlineHit)
+        else if (out.deadlineHit)
             out.status = {StatusCode::kDeadlineExceeded, "deadline: best-so-far result emitted"};
         else
             out.status = robust::Status::okStatus();

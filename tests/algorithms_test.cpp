@@ -1,15 +1,26 @@
 // Tests for the additional partitioning algorithms: two-phase FM (the
-// methodology ML generalizes) and spectral bisection (the classic
-// analytic comparator).
+// methodology ML generalizes), spectral bisection (the classic analytic
+// comparator), and the comparator switch that runs them and LSMC and the
+// genetic hybrid by engine name (DESIGN.md §15): pinned results, fault
+// sites inside each engine's loop, and expired deadlines.
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "check/verify_partition.h"
+#include "comparators/comparators.h"
 #include "core/multilevel.h"
 #include "core/two_phase.h"
 #include "gen/grid_generator.h"
+#include "genetic/hybrid.h"
+#include "hypergraph/io.h"
+#include "lsmc/lsmc.h"
 #include "refine/fm_refiner.h"
 #include "refine/multistart.h"
+#include "robust/checkpoint.h"
+#include "robust/deadline.h"
+#include "robust/fault_injector.h"
+#include "robust/status.h"
 #include "spectral/spectral.h"
 #include "test_util.h"
 
@@ -154,6 +165,115 @@ TEST(Spectral, RejectsBadInput) {
     HypergraphBuilder b(1);
     const Hypergraph solo = std::move(b).build();
     EXPECT_THROW(spectralBisect(solo, {}, rng), std::invalid_argument);
+}
+
+// ------------------------------------------------- the comparator switch
+
+std::uint32_t partitionCrc(const Partition& p) {
+    const std::vector<std::uint8_t> blob = encodePartitionBinary(p);
+    return robust::crc32(blob.data(), blob.size());
+}
+
+/// Cuts and partition CRCs (the serve part_crc) of each comparator,
+/// recorded from the single-lane runs of the engine portfolio the switch
+/// replaced. A changed rank, iteration budget or refiner moves them.
+TEST(ComparatorPins, EveryComparatorReproducesItsPortfolioLane) {
+    const Hypergraph h = testing::mediumCircuit(200, 5);
+    const struct {
+        const char* engine;
+        PartId k;
+        Weight cut;
+        std::uint32_t crc;
+    } pins[] = {
+        {"two_phase", 2, 12, 0xaaea4330u}, {"lsmc", 2, 9, 0x1962d1dfu},
+        {"spectral", 2, 9, 0x30a7c81bu},   {"genetic", 2, 9, 0x98d51feeu},
+        {"two_phase", 4, 66, 0x6112bd9du}, {"lsmc", 4, 42, 0x673b4e48u},
+        {"genetic", 4, 38, 0x20437773u},
+    };
+    for (const auto& pin : pins) {
+        SCOPED_TRACE(std::string(pin.engine) + " k=" + std::to_string(pin.k));
+        const ComparatorResult r =
+            runComparator(h, pin.engine, pin.k, 0.1, 0.5, 0, 7, robust::Deadline());
+        EXPECT_EQ(r.cut, pin.cut);
+        EXPECT_EQ(partitionCrc(r.partition), pin.crc);
+        EXPECT_FALSE(r.deadlineHit);
+    }
+}
+
+TEST(ComparatorPins, RefusesUnknownNamesAndSpectralBeyondBisection) {
+    const Hypergraph h = testing::mediumCircuit(150, 11);
+    for (const char* name : {"ml", "fm", "clip", "auto", ""}) {
+        EXPECT_FALSE(isComparator(name)) << name;
+        try {
+            (void)runComparator(h, name, 2, 0.1, 0.5, 0, 1, robust::Deadline());
+            ADD_FAILURE() << name << " ran as a comparator";
+        } catch (const robust::Error& e) {
+            EXPECT_EQ(e.code(), robust::StatusCode::kUsage) << name;
+        }
+    }
+    try {
+        (void)runComparator(h, "spectral", 4, 0.1, 0.5, 0, 1, robust::Deadline());
+        ADD_FAILURE() << "spectral ran at k = 4";
+    } catch (const robust::Error& e) {
+        EXPECT_EQ(e.code(), robust::StatusCode::kUsage);
+    }
+}
+
+TEST(ComparatorFaults, EngineInnerLoopSitesFireAndAreContained) {
+    const Hypergraph h = testing::mediumCircuit(150, 11);
+    const struct {
+        const char* site;
+        const char* engine;
+    } cases[] = {
+        {"lsmc.descent", "lsmc"},
+        {"spectral.iterate", "spectral"},
+        {"genetic.generation", "genetic"},
+    };
+    robust::FaultInjector& injector = robust::FaultInjector::instance();
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.site);
+        robust::FaultPlan plan;
+        plan.probability = 1.0;
+        plan.site = c.site;
+        injector.arm(plan);
+        robust::StatusCode code = robust::StatusCode::kOk;
+        try {
+            (void)runComparator(h, c.engine, 2, 0.1, 0.5, 0, 9, robust::Deadline());
+        } catch (const robust::Error& e) {
+            code = e.code();
+        }
+        EXPECT_GE(injector.fires(), 1) << "site never fired";
+        injector.disarm();
+        EXPECT_EQ(code, robust::StatusCode::kInjectedFault);
+    }
+}
+
+TEST(EngineDeadlines, ExpiredDeadlinesStillYieldValidResults) {
+    const Hypergraph h = testing::mediumCircuit(150, 11);
+    const robust::Deadline expired = robust::Deadline::after(0.0);
+    FMConfig fm;
+    fm.variant = EngineVariant::kCLIP;
+
+    std::mt19937_64 rng(1);
+    LSMCConfig lc;
+    lc.descents = 50;
+    const LSMCResult lsmc = LSMCPartitioner(lc, makeFMFactory(fm)).run(h, rng, expired);
+    check::PartitionCheckOptions opt;
+    opt.expectedCut = lsmc.cut;
+    EXPECT_TRUE(check::verifyPartition(h, lsmc.partition, opt).ok());
+
+    std::mt19937_64 rng2(1);
+    const SpectralResult sp = spectralBisect(h, SpectralConfig{}, rng2, expired);
+    opt.expectedCut = sp.cut;
+    EXPECT_TRUE(check::verifyPartition(h, sp.partition, opt).ok());
+
+    std::mt19937_64 rng3(1);
+    HybridConfig hc;
+    hc.populationSize = 3;
+    hc.generations = 4;
+    const HybridResult ga = HybridMultiStart(hc, makeFMFactory(fm)).run(h, rng3, expired);
+    opt.expectedCut = ga.cut;
+    EXPECT_TRUE(check::verifyPartition(h, ga.partition, opt).ok());
 }
 
 } // namespace

@@ -372,11 +372,10 @@ TEST(Salvage, EverySiteInjectionIsSurvivedByRetryOrDrop) {
         SCOPED_TRACE(site);
         // Service-layer sites sit in the fork/pipe plumbing of src/serve,
         // not inside a multi-start run; serve_test drives those. The
-        // standalone-engine and portfolio lane sites never execute inside
-        // an ML multi-start either; portfolio_test arms each of those in
-        // turn and asserts both the firing and the lane containment.
+        // comparator engines' sites never execute inside an ML multi-start
+        // either; algorithms_test arms each of those in turn and asserts
+        // that it fires and ends its comparator run in the injected error.
         if (site.rfind("serve.", 0) == 0) continue;
-        if (site.rfind("portfolio.", 0) == 0) continue;
         if (site.rfind("lsmc.", 0) == 0 || site.rfind("spectral.", 0) == 0 ||
             site.rfind("genetic.", 0) == 0)
             continue;

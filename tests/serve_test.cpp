@@ -250,6 +250,28 @@ TEST(ServeJob, RejectsBadRequests) {
 
 // ------------------------------------------------- result frame protocol
 
+/// "ml" is no name any more: "fm" and "clip" name the ML engines, and
+/// "auto" runs the default one. Comparators run once, so they refuse
+/// checkpoints.
+TEST(ServeJob, EngineNamesAreFmClipAutoOrAComparator) {
+    for (const char* engine : {"fm", "clip", "auto", "two_phase", "lsmc", "spectral", "genetic"})
+        EXPECT_EQ(parseJobRequest(tinyJob("e", std::string("\"engine\":\"") + engine + "\""))
+                      .engine,
+                  engine);
+    try {
+        (void)parseJobRequest(tinyJob("ml", "\"engine\":\"ml\""));
+        ADD_FAILURE() << "engine ml was accepted";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), StatusCode::kUsage);
+    }
+    EXPECT_THROW((void)parseJobRequest(
+                     tinyJob("c", "\"engine\":\"lsmc\",\"checkpoint\":\"/tmp/x.ckpt\"")),
+                 Error);
+    EXPECT_EQ(parseJobRequest(tinyJob("c", "\"engine\":\"auto\",\"checkpoint\":\"/tmp/x.ckpt\""))
+                  .checkpointPath,
+              "/tmp/x.ckpt");
+}
+
 TEST(ServeWire, OutcomeSurvivesTheFrameRoundTrip) {
     JobOutcome o;
     o.status = {StatusCode::kDeadlineExceeded, "best-so-far"};
@@ -312,6 +334,21 @@ TEST(ServeWire, CorruptionAndTrailingBytesAreParseErrors) {
                  Error);
 }
 
+/// The outcome keeps the retired evaluation report's flag byte, always 0,
+/// so journal Done records and cache entries of older binaries still load;
+/// an outcome that carries a report is a parse error.
+TEST(ServeWire, OutcomeWithAnEvaluationReportIsAParseError) {
+    std::vector<std::uint8_t> bytes = encodeJobOutcome(JobOutcome{});
+    ASSERT_EQ(bytes.back(), 0u);
+    bytes.back() = 1;
+    try {
+        (void)decodeJobOutcome(bytes.data(), bytes.size());
+        ADD_FAILURE() << "a report flag decoded";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), StatusCode::kParseError);
+    }
+}
+
 // --------------------------------------------------- in-process worker
 
 TEST(ServeWorker, ExecutesAJobInProcess) {
@@ -329,6 +366,31 @@ TEST(ServeWorker, ClassifiesInfeasibleAndParseErrors) {
     JobRequest garbage = tinyRequest("g");
     garbage.inlineHgr = "not a header\n";
     EXPECT_EQ(executeJob(garbage, nullptr).status.code, StatusCode::kParseError);
+}
+
+TEST(ServeWorker, SpectralBeyondBisectionIsRefused) {
+    const JobRequest req = parseJobRequest(tinyJob("s", "\"engine\":\"spectral\",\"k\":4"));
+    EXPECT_EQ(executeJob(req, nullptr).status.code, StatusCode::kUsage);
+}
+
+/// "auto" runs the default engine for k: the same result and cache key
+/// as a request that names no engine, at k = 2 (CLIP) and k = 4 (FM).
+TEST(ServeWorker, AutoRunsTheDefaultEngine) {
+    for (const std::string k : {"2", "4"}) {
+        SCOPED_TRACE("k=" + k);
+        const std::string fields = "\"k\":" + k + ",\"seed\":42";
+        const JobRequest omitted = parseJobRequest(tinyJob("omitted", fields));
+        const JobRequest autoReq =
+            parseJobRequest(tinyJob("auto", fields + ",\"engine\":\"auto\""));
+        EXPECT_EQ(resolvedEngine(autoReq), omitted.engine);
+        EXPECT_EQ(requestFingerprint(autoReq), requestFingerprint(omitted));
+        const JobOutcome a = executeJob(autoReq, nullptr);
+        const JobOutcome b = executeJob(omitted, nullptr);
+        ASSERT_TRUE(a.status.ok()) << a.status.message;
+        ASSERT_TRUE(b.status.ok()) << b.status.message;
+        EXPECT_EQ(a.cut, b.cut);
+        EXPECT_EQ(a.partitionCrc, b.partitionCrc);
+    }
 }
 
 // ------------------------------------------------------- supervision
@@ -369,6 +431,27 @@ TEST(ServeSupervisor, PersistentCrashClassifiesAfterOneRetry) {
     EXPECT_EQ(r.outcome.status.code, StatusCode::kWorkerCrashed);
     EXPECT_EQ(r.attempts, 2); // retried once, then classified — never looping
     EXPECT_EQ(r.crashes, 2);
+}
+
+/// A failing comparator job gets the same retry-once policy as an ML job.
+TEST(ServeSupervisor, ComparatorFaultIsRetriedOnceThenClassified) {
+    MLPART_SKIP_NEEDS_LIVE_WORKER();
+    JobRequest once = tinyRequest("lsmc-once");
+    once.engine = "lsmc";
+    once.faultSpec = "site=lsmc.descent,p=1.0";
+    once.faultAttempts = 1;
+    const JobResult r = superviseOnFreshWorkers(once, SupervisorConfig{});
+    ASSERT_TRUE(r.outcome.status.ok()) << r.outcome.status.message;
+    EXPECT_EQ(r.attempts, 2);
+    EXPECT_TRUE(r.retried);
+
+    JobRequest always = tinyRequest("genetic-always");
+    always.engine = "genetic";
+    always.faultSpec = "site=genetic.generation,p=1.0";
+    const JobResult f = superviseOnFreshWorkers(always, SupervisorConfig{});
+    EXPECT_EQ(f.outcome.status.code, StatusCode::kInjectedFault);
+    EXPECT_EQ(f.attempts, 2);
+    EXPECT_EQ(f.crashes, 0);
 }
 
 TEST(ServeSupervisor, TornResultFrameDegradesToRetryNotGarbage) {

@@ -27,18 +27,8 @@
 // thread count in [2, 8]; the cut AND the full per-module assignment must
 // be bit-identical, or the run fails.
 //
-// With --portfolio, each iteration instead runs the lane-containment
-// differential: the engine portfolio runs once clean (the oracle), then
-// again with one randomly chosen lane's entry fault site armed at
-// p=1.0. The faulted run must classify exactly that lane as dead, every
-// surviving lane must reproduce its oracle cut bit-for-bit, the winner
-// must equal the oracle's best lane excluding the dead engine, and the
-// final partition must verify — a fault that leaks across lanes or
-// perturbs a surviving lane's result fails the run.
-//
 // Usage: fuzz_invariants [--iterations N] [--seed S] [--modules M]
-//                        [--inject] [--checkpoint] [--parallel] [--portfolio]
-//                        [--verbose]
+//                        [--inject] [--checkpoint] [--parallel] [--verbose]
 
 #include <algorithm>
 #include <cstdint>
@@ -67,7 +57,6 @@
 #include "gen/rent_generator.h"
 #include "hypergraph/partition.h"
 #include "kway/kway_refiner.h"
-#include "portfolio/portfolio.h"
 #include "refine/fm_refiner.h"
 #include "refine/multistart.h"
 #include "robust/fault_injector.h"
@@ -85,14 +74,13 @@ struct Options {
     bool inject = false;    ///< randomly arm the fault injector per iteration
     bool checkpoint = false; ///< kill-point / resume equivalence protocol
     bool parallel = false;   ///< thread-determinism differential mode
-    bool portfolio = false;  ///< portfolio lane-containment differential mode
     bool verbose = false;
 };
 
 [[noreturn]] void usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--iterations N] [--seed S] [--modules M] [--inject] "
-                 "[--checkpoint] [--parallel] [--portfolio] [--verbose]\n",
+                 "[--checkpoint] [--parallel] [--verbose]\n",
                  argv0);
     std::exit(2);
 }
@@ -111,7 +99,6 @@ Options parseArgs(int argc, char** argv) {
         else if (a == "--inject") opt.inject = true;
         else if (a == "--checkpoint") opt.checkpoint = true;
         else if (a == "--parallel") opt.parallel = true;
-        else if (a == "--portfolio") opt.portfolio = true;
         else if (a == "--verbose") opt.verbose = true;
         else usage(argv[0]);
     }
@@ -332,106 +319,6 @@ void fuzzParallelDifferential(const Hypergraph& h, std::mt19937_64& rng, const O
     verifyResult(h, got.partition, bc, got.cut, "fuzz parallel differential");
 }
 
-/// Portfolio lane-containment differential (see file comment). Exits 1
-/// on any containment or determinism violation.
-void fuzzPortfolioDifferential(const Hypergraph& h, std::mt19937_64& rng, const Options& opt,
-                               int it) {
-    portfolio::PortfolioConfig pc;
-    pc.k = 2;
-    pc.tolerance = 0.1;
-    pc.matchingRatio = 0.5;
-    pc.runs = 2;
-    pc.threads = 1;
-    pc.seed = rng();
-    const auto victim = static_cast<portfolio::EngineKind>(rng() % portfolio::kEngineCount);
-    const bool oom = (rng() % 3) == 0;
-
-    const portfolio::PortfolioResult oracle = runPortfolio(h, pc);
-    if (oracle.report.fallbackUsed) {
-        std::fprintf(stderr, "fuzz_invariants: iter %d: clean portfolio used the fallback\n", it);
-        std::exit(1);
-    }
-
-    robust::FaultInjector& injector = robust::FaultInjector::instance();
-    robust::FaultPlan plan;
-    plan.seed = rng();
-    plan.probability = 1.0;
-    plan.site = portfolio::laneFaultSite(victim);
-    plan.kind = oom ? robust::FaultKind::kBadAlloc : robust::FaultKind::kThrow;
-    injector.arm(plan);
-    portfolio::PortfolioResult faulted;
-    try {
-        faulted = runPortfolio(h, pc);
-    } catch (...) {
-        injector.disarm();
-        std::fprintf(stderr, "fuzz_invariants: iter %d: lane fault escaped the portfolio\n", it);
-        std::exit(1);
-    }
-    injector.disarm();
-
-    // Expected winner: the oracle's best lane with the victim struck out
-    // (same fixed total order the portfolio itself uses).
-    const portfolio::LaneRecord* want = nullptr;
-    for (const portfolio::LaneRecord& lane : oracle.report.lanes) {
-        if (lane.engine == victim || lane.cut < 0) continue;
-        if (want == nullptr || lane.cut < want->cut ||
-            (lane.cut == want->cut && lane.maxBlockArea < want->maxBlockArea))
-            want = &lane;
-    }
-    for (const portfolio::LaneRecord& lane : faulted.report.lanes) {
-        if (lane.engine == victim) {
-            const auto expected = oom ? portfolio::LaneOutcome::kRefused
-                                      : portfolio::LaneOutcome::kCrashed;
-            if (lane.outcome != expected) {
-                std::fprintf(stderr,
-                             "fuzz_invariants: iter %d: victim lane %s classified %s, want %s\n",
-                             it, portfolio::engineName(victim),
-                             portfolio::laneOutcomeName(lane.outcome),
-                             portfolio::laneOutcomeName(expected));
-                std::exit(1);
-            }
-            continue;
-        }
-        // Surviving lanes are blind to the victim: bit-identical cuts.
-        for (const portfolio::LaneRecord& clean : oracle.report.lanes) {
-            if (clean.engine != lane.engine) continue;
-            if (clean.cut != lane.cut || clean.maxBlockArea != lane.maxBlockArea) {
-                std::fprintf(stderr,
-                             "fuzz_invariants: iter %d: lane %s perturbed by %s's fault "
-                             "(cut %lld vs clean %lld)\n",
-                             it, portfolio::engineName(lane.engine),
-                             portfolio::engineName(victim), static_cast<long long>(lane.cut),
-                             static_cast<long long>(clean.cut));
-                std::exit(1);
-            }
-        }
-    }
-    if (want == nullptr) {
-        if (!faulted.report.fallbackUsed) {
-            std::fprintf(stderr,
-                         "fuzz_invariants: iter %d: no lane should survive, yet no fallback\n",
-                         it);
-            std::exit(1);
-        }
-    } else if (faulted.report.fallbackUsed || faulted.bestCut != want->cut ||
-               faulted.report.winnerName() != portfolio::engineName(want->engine)) {
-        std::fprintf(stderr,
-                     "fuzz_invariants: iter %d: winner %s cut %lld, want %s cut %lld\n", it,
-                     faulted.report.winnerName().c_str(),
-                     static_cast<long long>(faulted.bestCut),
-                     portfolio::engineName(want->engine), static_cast<long long>(want->cut));
-        std::exit(1);
-    }
-    const auto bc = BalanceConstraint::forRefinement(h, pc.k, pc.tolerance);
-    verifyResult(h, faulted.best, bc, static_cast<Weight>(faulted.bestCut),
-                 "fuzz portfolio differential");
-    if (opt.verbose)
-        std::fprintf(stderr, "iter %d: victim=%s (%s) winner=%s cut %lld\n", it,
-                     portfolio::engineName(victim), oom ? "oom" : "throw",
-                     faulted.report.winnerName().c_str(),
-                     static_cast<long long>(faulted.bestCut));
-}
-
 #if !defined(_WIN32)
 /// Crash-equivalence protocol: oracle run, SIGKILLed checkpointed child,
 /// resume, bit-identical comparison. Exits 1 on any divergence.
@@ -521,18 +408,6 @@ int main(int argc, char** argv) {
             fuzzParallelDifferential(h, rng, opt, it);
         }
         std::printf("fuzz_invariants: %d parallel iterations deterministic (seed %llu)\n",
-                    opt.iterations, static_cast<unsigned long long>(opt.seed));
-        return 0;
-    }
-    if (opt.portfolio) {
-        for (int it = 0; it < opt.iterations; ++it) {
-            std::string label;
-            const Hypergraph h = makeCircuit(opt.modules, rng, label);
-            if (opt.verbose)
-                std::fprintf(stderr, "iter %d: %s mode=portfolio\n", it, label.c_str());
-            fuzzPortfolioDifferential(h, rng, opt, it);
-        }
-        std::printf("fuzz_invariants: %d portfolio iterations fault-contained (seed %llu)\n",
                     opt.iterations, static_cast<unsigned long long>(opt.seed));
         return 0;
     }

@@ -37,14 +37,6 @@
 //                     --compare never judges it against k = 2 baselines
 //     --engine E      fm | clip (default clip at k = 2; fm at k > 2, the
 //                     default KWayConfig)
-//     --portfolio     additionally run the fault-isolated engine portfolio
-//                     (DESIGN.md §15) on every instance, emitting an extra
-//                     <instance>@portfolio row (winner's cut / wall time)
-//                     plus a per-engine lane table at the end: wins,
-//                     crashes, timeouts, refusals, median cut and median
-//                     lane runtime. Like @vt sweep rows, @portfolio rows
-//                     never exist in older baselines, so the regression
-//                     gate still judges only the primary rows.
 //     --scale X       synthetic-instance scale in (0,1] (default 1)
 //     --profile       per-level refinement profile (pass/move/rollback
 //                     counts, rolled-back moves per pass, bucket-build vs
@@ -84,10 +76,7 @@
 #include "hypergraph/io.h"
 #include "hypergraph/stats.h"
 #include "core/multilevel.h"
-#include "core/parallel_multistart.h" // defaultEngine
-#include "kway/kway_refiner.h"
-#include "portfolio/portfolio.h"
-#include "refine/multistart.h"
+#include "core/parallel_multistart.h" // defaultEngine, makeMLEngine
 
 namespace {
 
@@ -143,7 +132,6 @@ struct Options {
     std::string engine; ///< empty until parsed: clip at k = 2, fm at k > 2
     double scale = 1.0;
     bool profile = false;
-    bool portfolio = false;
     std::string out = "BENCH_ML.json";
     std::string compare;
     double maxRegressionPct = 25.0;
@@ -154,7 +142,7 @@ struct Options {
     if (!msg.empty()) std::cerr << "error: " << msg << "\n";
     std::cerr << "usage: mlpart_bench [instances...] [--quick|--full] [--runs N] [--seed S]\n"
                  "                    [--threads T] [--vcycle-threads T] [--vcycle-sweep \"1,2,4\"]\n"
-                 "                    [-k K] [--engine fm|clip] [--scale X] [--profile] [--portfolio]\n"
+                 "                    [-k K] [--engine fm|clip] [--scale X] [--profile]\n"
                  "                    [-o FILE] [--compare BASELINE.json] [--max-regression PCT]\n"
                  "                    [--max-rss-regression PCT]\n";
     std::exit(2);
@@ -185,7 +173,6 @@ Options parseOptions(int argc, char** argv) {
         else if (arg == "--engine") o.engine = value();
         else if (arg == "--scale") o.scale = std::stod(value());
         else if (arg == "--profile") o.profile = true;
-        else if (arg == "--portfolio") o.portfolio = true;
         else if (arg == "-o" || arg == "--out") o.out = value();
         else if (arg == "--compare") o.compare = value();
         else if (arg == "--max-regression") o.maxRegressionPct = std::stod(value());
@@ -215,26 +202,9 @@ Options parseOptions(int argc, char** argv) {
 /// (each with its own pooled MLWorkspace, mirroring the production driver).
 InstanceResult benchInstance(const std::string& name, const Hypergraph& h, const Options& o,
                              int vcycleThreads) {
-    MLConfig cfg;
-    cfg.k = o.k;
-    cfg.matchingRatio = 0.5;
-    cfg.tolerance = 0.1;
-    if (o.k > 2) cfg.coarseningThreshold = 100;
-    cfg.vcycleThreads = vcycleThreads;
-    cfg.profileRefinement = o.profile;
-    RefinerFactory factory;
-    if (o.k == 2) {
-        FMConfig fm;
-        fm.tolerance = cfg.tolerance;
-        if (o.engine == "clip") fm.variant = EngineVariant::kCLIP;
-        factory = makeFMFactory(fm);
-    } else {
-        KWayConfig kw;
-        kw.tolerance = cfg.tolerance;
-        kw.clip = o.engine == "clip";
-        factory = makeKWayFactory(kw);
-    }
-    MultilevelPartitioner ml(cfg, factory);
+    MLEngine engine = makeMLEngine(o.engine, o.k, 0.1, 0.5, vcycleThreads);
+    engine.config.profileRefinement = o.profile;
+    const MultilevelPartitioner ml(engine.config, engine.factory);
 
     const HypergraphStats stats = computeStats(h);
     InstanceResult r;
@@ -289,96 +259,6 @@ InstanceResult benchInstance(const std::string& name, const Hypergraph& h, const
     r.avgCut = sum / static_cast<double>(o.runs);
     r.peakRssKb = peakRssKb();
     return r;
-}
-
-/// --portfolio: per-engine lane tallies accumulated across every
-/// instance's portfolio run — the bench-side twin of the serve status
-/// endpoint's "engines" array.
-struct EngineAgg {
-    std::int64_t wins = 0;
-    std::int64_t survived = 0;
-    std::int64_t crashes = 0;
-    std::int64_t timeouts = 0;
-    std::int64_t refusals = 0;
-    std::int64_t skipped = 0;
-    std::vector<std::int64_t> cuts;
-    std::vector<double> seconds;
-};
-
-double medianOf(std::vector<double> v) {
-    if (v.empty()) return 0.0;
-    const std::size_t mid = v.size() / 2;
-    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
-    return v[mid];
-}
-
-std::int64_t medianOf(std::vector<std::int64_t> v) {
-    if (v.empty()) return -1;
-    const std::size_t mid = v.size() / 2;
-    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid), v.end());
-    return v[mid];
-}
-
-/// Runs the engine portfolio on one instance, folds every lane into the
-/// per-engine aggregates, and returns the extra @portfolio result row.
-InstanceResult benchPortfolio(const std::string& name, const Hypergraph& h, const Options& o,
-                              EngineAgg (&agg)[portfolio::kEngineCount]) {
-    portfolio::PortfolioConfig pc;
-    pc.k = o.k;
-    pc.tolerance = 0.1;
-    pc.matchingRatio = 0.5;
-    pc.clip = o.engine == "clip";
-    pc.runs = o.runs;
-    pc.threads = o.threads;
-    pc.vcycleThreads = o.vcycleThreads;
-    pc.seed = o.seed;
-    const portfolio::PortfolioResult out = runPortfolio(h, pc);
-
-    const HypergraphStats stats = computeStats(h);
-    InstanceResult r;
-    r.name = name + "@portfolio";
-    r.modules = stats.numModules;
-    r.nets = stats.numNets;
-    r.pins = stats.numPins;
-    r.runs = o.runs;
-    r.bestCut = static_cast<Weight>(out.bestCut);
-    r.avgCut = static_cast<double>(out.bestCut);
-    r.wallSec = out.report.totalSeconds;
-    r.peakRssKb = peakRssKb();
-
-    for (const portfolio::LaneRecord& lane : out.report.lanes) {
-        EngineAgg& a = agg[static_cast<int>(lane.engine)];
-        switch (lane.outcome) {
-            case portfolio::LaneOutcome::kWon: ++a.wins; break;
-            case portfolio::LaneOutcome::kSurvived: ++a.survived; break;
-            case portfolio::LaneOutcome::kCrashed: ++a.crashes; break;
-            case portfolio::LaneOutcome::kTimedOut: ++a.timeouts; break;
-            case portfolio::LaneOutcome::kRefused: ++a.refusals; break;
-            case portfolio::LaneOutcome::kSkipped: ++a.skipped; break;
-        }
-        if (lane.cut >= 0) {
-            a.cuts.push_back(lane.cut);
-            a.seconds.push_back(lane.seconds);
-        }
-    }
-    std::printf("winner %s, cut %lld, %.3fs wall\n", out.report.winnerName().c_str(),
-                static_cast<long long>(out.bestCut), out.report.totalSeconds);
-    return r;
-}
-
-void printEngineTable(const EngineAgg (&agg)[portfolio::kEngineCount]) {
-    std::printf("portfolio lane summary:\n");
-    std::printf("  %-10s %5s %9s %8s %9s %9s %8s %11s %13s\n", "engine", "wins", "survived",
-                "crashes", "timeouts", "refusals", "skipped", "median_cut", "median_sec");
-    for (int e = 0; e < portfolio::kEngineCount; ++e) {
-        const EngineAgg& a = agg[e];
-        std::printf("  %-10s %5lld %9lld %8lld %9lld %9lld %8lld %11lld %13.3f\n",
-                    portfolio::engineName(static_cast<portfolio::EngineKind>(e)),
-                    static_cast<long long>(a.wins), static_cast<long long>(a.survived),
-                    static_cast<long long>(a.crashes), static_cast<long long>(a.timeouts),
-                    static_cast<long long>(a.refusals), static_cast<long long>(a.skipped),
-                    static_cast<long long>(medianOf(a.cuts)), medianOf(a.seconds));
-    }
 }
 
 /// Aggregate of an instance's per-level profiles (all levels, all runs).
@@ -528,7 +408,6 @@ int main(int argc, char** argv) {
     const Options o = parseOptions(argc, argv);
 
     std::vector<InstanceResult> results;
-    EngineAgg engineAgg[portfolio::kEngineCount];
     for (const std::string& inst : o.instances) {
         const bool isFile = inst.find(".hgr") != std::string::npos ||
                             std::filesystem::exists(inst);
@@ -571,14 +450,7 @@ int main(int argc, char** argv) {
             }
             results.push_back(sr);
         }
-        if (o.portfolio) {
-            std::cout << name << "@portfolio: " << std::flush;
-            InstanceResult pr = benchPortfolio(name, h, o, engineAgg);
-            pr.source = r.source;
-            results.push_back(pr);
-        }
     }
-    if (o.portfolio) printEngineTable(engineAgg);
 
     writeJson(o.out, o, results);
     std::cout << "wrote " << o.out << "\n";

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "comparators/comparators.h"
 #include "core/multilevel.h"
 #include "core/parallel_multistart.h"
 #include "gen/benchmark_suite.h"
@@ -35,11 +36,7 @@
 #include "hypergraph/io.h"
 #include "hypergraph/netd_format.h"
 #include "hypergraph/stats.h"
-#include "kway/kway_refiner.h"
 #include "placement/topdown_placer.h"
-#include "portfolio/portfolio.h"
-#include "refine/fm_refiner.h"
-#include "refine/multistart.h"
 #include "robust/checkpoint.h"
 #include "robust/fault_injector.h"
 #include "robust/memory_governor.h"
@@ -75,10 +72,9 @@ void setPhase(const std::string& phase, const std::string& input = "") {
         "usage: mlpart <command> [args]\n"
         "  stats     <netlist>\n"
         "  partition <netlist> [-k K] [-r TOL] [-R RATIO]\n"
-        "            [--engine fm|clip|auto|ml|two_phase|lsmc|spectral|genetic]\n"
-        "            (default: clip at k = 2, fm at k > 2)\n"
-        "            [--engine-budget SEC]   (portfolio engines: per-job budget,\n"
-        "             split across lanes; auto races the whole portfolio)\n"
+        "            [--engine fm|clip|auto|two_phase|lsmc|spectral|genetic]\n"
+        "            (default and auto: clip at k = 2, fm at k > 2; two_phase,\n"
+        "             lsmc, spectral (k = 2) and genetic run one comparator)\n"
         "            [--runs N] [--threads T] [--vcycle-threads T] [--seed S]\n"
         "            [--cycles N] [--timeout SEC]\n"
         "            [--checkpoint FILE [--checkpoint-every N]\n"
@@ -228,67 +224,42 @@ void logReportJson(const robust::RunReport& report, const MultiStartOutcome& out
     std::cerr << s.str() << "\n";
 }
 
-/// The --engine auto / single-portfolio-engine path: races the engine
-/// portfolio under the fault-containment manager and prints the per-lane
-/// evaluation report next to the winner.
-int runPortfolioPartition(const Args& a, const Hypergraph& h, PartId k, double r,
-                          const std::string& engine, double timeout, bool logJson) {
-    portfolio::PortfolioConfig pc;
-    pc.k = k;
-    pc.tolerance = r;
-    pc.matchingRatio = a.getD("-R", 0.5);
-    pc.runs = static_cast<int>(a.getI("--runs", 4));
-    pc.threads = static_cast<int>(a.getI("--threads", 0));
-    pc.vcycleThreads = static_cast<int>(a.getI("--vcycle-threads", 0));
-    pc.seed = static_cast<std::uint64_t>(a.getI("--seed", 1));
-    pc.budgetSeconds = a.getD("--engine-budget", 0.0);
-    if (pc.runs < 1) usage("partition: --runs must be >= 1");
-    if (pc.vcycleThreads < 0) usage("partition: --vcycle-threads must be >= 0");
-    if (pc.budgetSeconds < 0) usage("partition: --engine-budget must be >= 0");
+/// --engine two_phase|lsmc|spectral|genetic: one run of the paper's
+/// comparator, under the same --timeout and interrupt handling as ML.
+int runComparatorPartition(const Args& a, const Hypergraph& h, PartId k, double r,
+                           const std::string& engine, int vcycleThreads, double timeout,
+                           bool logJson) {
+    const auto seed = static_cast<std::uint64_t>(a.getI("--seed", 1));
     if (a.flags.count("--checkpoint"))
-        usage("partition: --checkpoint requires --engine fm or clip");
-    pc.deadline = timeout > 0 ? robust::Deadline::after(timeout) : robust::Deadline();
-    pc.deadline.bindCancelFlag(&g_interrupted);
-    if (engine != "auto") {
-        portfolio::EngineKind kind{};
-        if (!portfolio::parseEngineName(engine, kind))
-            usage("partition: --engine must be fm, clip, auto, or one of "
-                  "ml/two_phase/lsmc/spectral/genetic");
-        pc.engines = {kind};
-    }
+        usage("partition: --checkpoint requires --engine fm, clip or auto");
+    robust::Deadline deadline =
+        timeout > 0 ? robust::Deadline::after(timeout) : robust::Deadline();
+    deadline.bindCancelFlag(&g_interrupted);
 
-    setPhase("partitioning (portfolio)");
-    const portfolio::PortfolioResult out = runPortfolio(h, pc);
-    logPhaseJson(logJson, "partition", out.report.totalSeconds);
-    if (logJson)
-        std::cerr << portfolio::evaluationReportJson(out.report) << "\n";
+    setPhase("partitioning (" + engine + ")");
+    Stopwatch watch;
+    const ComparatorResult out = runComparator(h, engine, k, r, a.getD("-R", 0.5),
+                                               vcycleThreads, seed, deadline);
+    const double seconds = watch.seconds();
+    logPhaseJson(logJson, "partition", seconds);
 
     setPhase("writing results");
-    std::cout << k << "-way portfolio partition (" << engine << ", seed " << pc.seed;
-    if (pc.budgetSeconds > 0) std::cout << ", budget " << pc.budgetSeconds << " s";
-    std::cout << "):\n";
-    for (const auto& lane : out.report.lanes) {
-        std::cout << "  lane " << portfolio::engineName(lane.engine) << ": "
-                  << portfolio::laneOutcomeName(lane.outcome);
-        if (lane.cut >= 0)
-            std::cout << "  cut " << lane.cut << "  max block " << lane.maxBlockArea;
-        if (!lane.status.ok()) std::cout << "  (" << lane.status.message << ")";
-        std::cout << "  [" << lane.seconds << " s]\n";
-    }
-    std::cout << "  winner:    " << out.report.winnerName() << "\n"
-              << "  min cut:   " << out.bestCut << "\n"
-              << "  wall time: " << out.report.totalSeconds << " s\n  block areas:";
-    for (PartId p = 0; p < k; ++p) std::cout << ' ' << out.best.blockArea(p);
+    std::cout << k << "-way " << engine << " partition (seed " << seed << "):\n"
+              << "  cut:       " << out.cut << "\n"
+              << "  wall time: " << seconds << " s\n  block areas:";
+    for (PartId p = 0; p < k; ++p) std::cout << ' ' << out.partition.blockArea(p);
     std::cout << "\n";
-    if (out.report.fallbackUsed)
-        std::cout << "  all lanes failed: greedy area-split fallback emitted\n";
     if (a.flags.count("-o")) {
-        writePartitionFile(out.best, a.get("-o", ""));
+        writePartitionFile(out.partition, a.get("-o", ""));
         std::cout << "  wrote " << a.get("-o", "") << "\n";
     }
     if (g_interrupted.load(std::memory_order_relaxed)) {
         std::cout << "  interrupted: best-so-far result emitted\n";
         return robust::exitCodeFor(robust::StatusCode::kInterrupted);
+    }
+    if (out.deadlineHit) {
+        std::cout << "  deadline exceeded: best-so-far result emitted\n";
+        return robust::exitCodeFor(robust::StatusCode::kDeadlineExceeded);
     }
     return 0;
 }
@@ -306,7 +277,8 @@ int cmdPartition(const Args& a) {
                  std::chrono::duration<double>(std::chrono::steady_clock::now() - tLoad).count());
     const PartId k = static_cast<PartId>(a.getI("-k", 2));
     const double r = a.getD("-r", 0.1);
-    const std::string engine = a.get("--engine", defaultEngine(k));
+    std::string engine = a.get("--engine", defaultEngine(k));
+    if (engine == "auto") engine = defaultEngine(k);
     const double timeout = a.getD("--timeout", 0.0);
     setPhase("validating constraints");
     if (k < 2) usage("partition: -k must be >= 2");
@@ -316,46 +288,19 @@ int cmdPartition(const Args& a) {
                             "cannot split " + std::to_string(h.numModules()) +
                                 " modules into " + std::to_string(k) + " non-empty blocks");
 
-    {
-        portfolio::EngineKind kind{};
-        if (engine == "auto" || portfolio::parseEngineName(engine, kind))
-            return runPortfolioPartition(a, h, k, r, engine, timeout, logJson);
-    }
-    if (a.flags.count("--engine-budget"))
-        usage("partition: --engine-budget requires a portfolio engine (--engine auto/...)");
-
-    MLConfig cfg;
-    cfg.k = k;
-    cfg.tolerance = r;
-    cfg.matchingRatio = a.getD("-R", 0.5);
-    if (k > 2) cfg.coarseningThreshold = 100;
     // Deterministic intra-V-cycle parallelism: results are bit-identical
     // for every count >= 1 (0 = serial mode: the paper's Match on this
     // thread; both modes run the LP pre-pass on large k = 2 levels).
-    cfg.vcycleThreads = static_cast<int>(a.getI("--vcycle-threads", 0));
-    if (cfg.vcycleThreads < 0) usage("partition: --vcycle-threads must be >= 0");
+    const int vcycleThreads = static_cast<int>(a.getI("--vcycle-threads", 0));
+    if (vcycleThreads < 0) usage("partition: --vcycle-threads must be >= 0");
+    if (isComparator(engine))
+        return runComparatorPartition(a, h, k, r, engine, vcycleThreads, timeout, logJson);
+
+    MLEngine engineRun = makeMLEngine(engine, k, r, a.getD("-R", 0.5), vcycleThreads);
+    MLConfig& cfg = engineRun.config;
     cfg.vCycles = static_cast<int>(a.getI("--cycles", 1));
     if (cfg.vCycles < 1) usage("partition: --cycles must be >= 1");
-
-    RefinerFactory factory;
-    if (k == 2) {
-        FMConfig fm;
-        fm.tolerance = r;
-        if (engine == "clip") fm.variant = EngineVariant::kCLIP;
-        else if (engine != "fm")
-            usage("partition: --engine must be fm, clip, auto, or one of "
-                  "ml/two_phase/lsmc/spectral/genetic");
-        factory = makeFMFactory(fm);
-    } else {
-        KWayConfig kw;
-        kw.tolerance = r;
-        if (engine != "fm" && engine != "clip")
-            usage("partition: --engine must be fm, clip, auto, or one of "
-                  "ml/two_phase/lsmc/spectral/genetic");
-        kw.clip = engine == "clip";
-        factory = makeKWayFactory(kw);
-    }
-    MultilevelPartitioner ml(cfg, factory);
+    MultilevelPartitioner ml(cfg, engineRun.factory);
 
     MultiStartConfig ms;
     ms.runs = static_cast<int>(a.getI("--runs", 10));
